@@ -34,12 +34,11 @@ from repro.service.load import FaultInjectionSpec
 
 
 def machine_fields(spec) -> dict:
-    """Schema fields every service bench entry records (codec, processes,
+    """Schema fields every service bench entry records (processes,
     cpu_count) so ``BENCH_service.json`` stays comparable across machines.
-    Lock loads always run the in-loop JSON path; the ``getattr`` spelling
-    keeps the schema stable if :class:`LockLoadSpec` ever grows the knobs."""
+    Lock loads always run in-loop; the ``getattr`` spelling keeps the
+    schema stable if :class:`LockLoadSpec` ever grows the knob."""
     return {
-        "codec": getattr(spec, "codec", "json"),
         "processes": getattr(spec, "processes", 0),
         "cpu_count": os.cpu_count() or 1,
     }

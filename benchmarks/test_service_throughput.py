@@ -11,11 +11,11 @@ Five workloads exercise the asyncio service layer (`repro.service`):
   coroutine-per-RPC path, which stays the semantic oracle of the fast path.
   Floor: 2,000 ops/s (the PR 3 bar).
 * **TCP throughput** — 200 concurrent clients over *real localhost
-  sockets* (`repro.service.net`: length-prefixed frames, per-connection
-  writer tasks, the op-level `TcpDispatcher`).  Acceptance floor:
-  **2,000 ops/s** — the ISSUE 5 bar for the wire path.
+  sockets* (`repro.service.net`: length-prefixed struct-packed frames,
+  per-connection writer tasks, the op-level `TcpDispatcher`).  Acceptance
+  floor: **2,000 ops/s** — the ISSUE 5 bar for the wire path.
 * **sharded TCP throughput** — the same wire path spread over 4 shards ×
-  16 zipf-skewed register keys, on the negotiated *binary* codec.  On a
+  16 zipf-skewed register keys.  On a
   multi-core machine the workload runs the full multi-process harness
   (`repro.service.cluster`: one server process per shard + worker
   processes) against the **2× pre-codec floor of 4,572 ops/s**; on a
@@ -25,7 +25,7 @@ Five workloads exercise the asyncio service layer (`repro.service`):
   2,500 ops/s, while the cluster number is still recorded by the next
   workload.
 * **cluster TCP throughput** — a fixed `ClusterDeployment` configuration
-  (4 server processes, 1 load worker, binary codec) recorded on every
+  (4 server processes, 1 load worker) recorded on every
   machine so the process-orchestration overhead stays comparable across
   the trajectory; its floor gates only on multi-core machines.
 * **anti-entropy churn** — the same churn-heavy TCP workload run twice,
@@ -76,13 +76,13 @@ MIN_PER_RPC_OPS_PER_SECOND = 2_000.0
 #: Acceptance floor for the TCP path at 200 localhost clients (ISSUE 5).
 MIN_TCP_OPS_PER_SECOND = 2_000.0
 
-#: Acceptance floor for the sharded binary-codec deployment: twice the
+#: Acceptance floor for the sharded deployment: twice the
 #: pre-codec JSON baseline (2,286 ops/s, ISSUE 7).  Gated when the machine
 #: can actually run the multi-process harness in parallel.
 MIN_TCP_SHARDED_OPS_PER_SECOND = 4_572.0
 
 #: The sharded floor on a single-core box, where the bench runs the
-#: in-loop binary wire path instead (process-per-shard serving cannot buy
+#: in-loop wire path instead (process-per-shard serving cannot buy
 #: parallelism there, only context switches): 25% above the JSON-era TCP
 #: floor, with margin for this class of machine's 2× wall-clock swings.
 MIN_TCP_SHARDED_SINGLE_CORE_OPS_PER_SECOND = 2_500.0
@@ -158,7 +158,6 @@ def machine_fields(spec) -> dict:
     """Schema fields recorded on *every* service bench entry so the
     ``BENCH_service.json`` trajectory stays comparable across machines."""
     return {
-        "codec": spec.codec,
         "processes": spec.processes,
         "cpu_count": CPU_COUNT,
     }
@@ -233,7 +232,6 @@ def tcp_spec(
     shards: int = 1,
     keys: int = 1,
     key_skew: float = 0.0,
-    codec: str = "json",
     processes: int = 0,
 ) -> ServiceLoadSpec:
     """200 localhost clients over real sockets; healthy deployment.
@@ -252,7 +250,6 @@ def tcp_spec(
         shards=shards,
         keys=keys,
         key_skew=key_skew,
-        codec=codec,
         processes=processes,
         seed=17,
     )
@@ -336,7 +333,7 @@ def check_sharded_run(report) -> None:
 
 
 def test_sharded_tcp_deployment_throughput(report_sink, bench_record):
-    """Sharded deployment on the binary codec, scaled to the machine.
+    """Sharded deployment, scaled to the machine.
 
     With more than one core the run exercises the full multi-process
     harness (`--processes`) against the 2× pre-codec floor; on a
@@ -345,9 +342,7 @@ def test_sharded_tcp_deployment_throughput(report_sink, bench_record):
     Best-of-3 is the file's standard noise treatment for wall-clock
     floors; safety asserts on every attempt.
     """
-    spec = tcp_spec(
-        shards=4, keys=16, key_skew=0.8, codec="binary", processes=BENCH_PROCESSES
-    )
+    spec = tcp_spec(shards=4, keys=16, key_skew=0.8, processes=BENCH_PROCESSES)
     floor = (
         MIN_TCP_SHARDED_OPS_PER_SECOND
         if BENCH_PROCESSES
@@ -366,7 +361,7 @@ def test_sharded_tcp_deployment_throughput(report_sink, bench_record):
     bench_record("service_throughput_tcp_sharded", sharded_payload(report, floor))
     if STRICT_TIMING:
         assert report.throughput >= floor, (
-            f"the sharded binary-codec deployment sustained only "
+            f"the sharded deployment sustained only "
             f"{report.throughput:,.0f} ops/s "
             f"(floor: {floor:,.0f}, processes={spec.processes}, "
             f"cores={CPU_COUNT})"
@@ -377,12 +372,12 @@ def test_sharded_tcp_deployment_throughput(report_sink, bench_record):
 def test_cluster_deployment_throughput(report_sink, bench_record):
     """The fixed multi-process configuration, recorded on every machine.
 
-    4 server processes + 1 load-worker process + binary codec: the cost
+    4 server processes + 1 load-worker process: the cost
     of real process boundaries on this box.  The 2× floor gates only
     where the processes can run in parallel; single-core machines record
     the number for the trajectory (safety still asserts).
     """
-    spec = tcp_spec(shards=4, keys=16, key_skew=0.8, codec="binary", processes=1)
+    spec = tcp_spec(shards=4, keys=16, key_skew=0.8, processes=1)
     with quiescent_gc():
         report = run_service_load(spec)
         check_sharded_run(report)

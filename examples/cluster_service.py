@@ -4,7 +4,7 @@ The other service examples run every replica inside one event loop.  This
 one crosses real process boundaries: ``Deployment.builder().processes(...)``
 deploys each shard's ``TcpServiceServer`` in its own spawned process
 (readiness handshake, health probes, escalating teardown), and the clients
-talk to them over localhost sockets on the negotiated binary wire codec.
+talk to them over localhost sockets in struct-packed binary frames.
 
 The smoke itself is the operational contract of the PODC '97 protocols:
 
@@ -122,7 +122,6 @@ async def main(trace_sample: float = 0.0, trace_out: str = None) -> None:
     deployment = (
         Deployment.builder(SCENARIO)
         .processes(2)
-        .codec("binary")
         .shards(2)
         .deadline(2.0)  # wall-clock: generous, so scheduler noise cannot
         .seed(42)       # starve a quorum read below its threshold

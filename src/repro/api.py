@@ -28,7 +28,7 @@ suite pins down: registers route through
 protocol per key, shared deterministic selection), and lock handles are
 :class:`~repro.apps.mutex.AsyncQuorumMutex` over the same quorum clients.
 The builder's knob names (``deadline``, ``seed``, ``dispatch``,
-``selection``, ``codec``, ``processes``, ``anti_entropy``) are the
+``selection``, ``processes``, ``anti_entropy``) are the
 canonical spellings used across
 :class:`~repro.service.client.AsyncQuorumClient`,
 :class:`~repro.service.sharding.ShardedDeployment` and
@@ -49,7 +49,6 @@ from repro.service.sharding import (
     ShardedAsyncRegisterClient,
     ShardedDeployment,
 )
-from repro.service.wire import WIRE_CODECS
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
 __all__ = ["Deployment", "DeploymentBuilder"]
@@ -80,7 +79,6 @@ class DeploymentBuilder:
         self._jitter = 0.0
         self._drop_probability = 0.0
         self._quorum_pool = DEFAULT_QUORUM_POOL
-        self._codec = "json"
         self._processes = 0
         self._trace_sample = 0.0
         self._anti_entropy: Optional[AntiEntropySpec] = None
@@ -143,21 +141,6 @@ class DeploymentBuilder:
         self._drop_probability = drop_probability
         return self
 
-    def codec(self, name: str) -> "DeploymentBuilder":
-        """Wire codec the TCP clients prefer: ``"json"`` or ``"binary"``.
-
-        Negotiated per connection via a hello frame, so a ``"binary"``
-        deployment still interoperates with JSON-only peers.  Only
-        meaningful over ``transport("tcp")`` — the in-process transport
-        passes payloads by reference.
-        """
-        if name not in WIRE_CODECS:
-            raise ConfigurationError(
-                f"unknown wire codec {name!r}; choose from {WIRE_CODECS}"
-            )
-        self._codec = name
-        return self
-
     def processes(self, count: int) -> "DeploymentBuilder":
         """Process-backed serving: one server process per shard.
 
@@ -182,8 +165,8 @@ class DeploymentBuilder:
 
         0 (the default) keeps the hot path entirely instrumentation-free;
         above 0 a :class:`~repro.obs.trace.Tracer` is shared by every client
-        the deployment hands out, and over TCP the trace id is negotiated
-        into the wire envelope so server processes can attribute requests.
+        the deployment hands out, and over TCP the trace id rides the request
+        envelope so server processes can attribute requests.
         Collected traces come back from :meth:`Deployment.traces`.
         """
         if not 0.0 <= rate <= 1.0:
@@ -278,7 +261,6 @@ class Deployment:
             self.sharded = ClusterDeployment(
                 builder._scenario,
                 shards=builder._shards,
-                codec=builder._codec,
                 latency=builder._latency,
                 jitter=builder._jitter,
                 drop_probability=builder._drop_probability,
@@ -292,7 +274,6 @@ class Deployment:
                 builder._scenario,
                 shards=builder._shards,
                 transport=builder._transport,
-                codec=builder._codec,
                 latency=builder._latency,
                 jitter=builder._jitter,
                 drop_probability=builder._drop_probability,
@@ -310,8 +291,8 @@ class Deployment:
                 sample_rate=builder._trace_sample,
                 seed=0 if builder._seed is None else builder._seed,
             )
-            # Must be set before start(): TCP transports decide whether to
-            # offer the trace extension when they negotiate their hello.
+            # Set before any client is built: clients take the tracer at
+            # construction.
             self.sharded.tracer = self.tracer
 
     @classmethod

@@ -71,7 +71,6 @@ from repro.rngs import seed_sequential
 from repro.service.client import SELECTION_MODES
 from repro.service.dispatch import DISPATCH_MODES
 from repro.service.sharding import TRANSPORT_MODES
-from repro.service.wire import WIRE_CODECS
 from repro.simulation.scenario import REGISTER_KINDS
 
 EXPERIMENT_NAMES = (
@@ -229,7 +228,6 @@ def run_experiment(
     key_skew: float = 0.0,
     writers: int = None,
     contention: float = 0.0,
-    codec: str = "json",
     processes: int = None,
     trace_sample: float = 0.0,
     trace_out: str = None,
@@ -288,7 +286,6 @@ def run_experiment(
                 key_skew=key_skew,
                 writers=writers,
                 contention=contention,
-                codec=codec,
                 processes=processes,
                 trace_sample=trace_sample,
                 trace_out=trace_out,
@@ -444,14 +441,6 @@ def main(argv: List[str] = None) -> int:
         "(default: 0)",
     )
     parser.add_argument(
-        "--codec",
-        choices=WIRE_CODECS,
-        default="json",
-        help="serve wire codec over TCP: debug-friendly 'json' or the "
-        "struct-packed 'binary' (negotiated per connection; implies "
-        "--transport tcp; default: json)",
-    )
-    parser.add_argument(
         "--processes",
         type=int,
         nargs="?",
@@ -543,7 +532,6 @@ def main(argv: List[str] = None) -> int:
             key_skew=args.key_skew,
             writers=args.writers,
             contention=args.contention,
-            codec=args.codec,
             processes=args.processes,
             trace_sample=args.trace_sample,
             trace_out=args.trace_out,

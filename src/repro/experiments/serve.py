@@ -81,7 +81,6 @@ def serve_load_spec(
     key_skew: float = 0.0,
     writers: int = None,
     contention: float = 0.0,
-    codec: str = "json",
     processes: int = 0,
     trace_sample: float = 0.0,
     monitor_epsilon: bool = False,
@@ -109,11 +108,10 @@ def serve_load_spec(
     Byzantine-free crash variant of the scenario is deployed instead.  An
     explicitly passed Byzantine ``scenario`` still raises.
 
-    ``codec`` picks the TCP wire codec (``"json"`` or the struct-packed
-    ``"binary"``, negotiated per connection).  ``processes > 0`` moves the
-    soak onto a :class:`~repro.service.cluster.ClusterDeployment` — one
-    server process per shard plus that many load-worker processes; both
-    imply ``transport="tcp"``.  Live crash/recovery churn is in-loop
+    ``processes > 0`` moves the soak onto a
+    :class:`~repro.service.cluster.ClusterDeployment` — one server process
+    per shard plus that many load-worker processes; it implies
+    ``transport="tcp"``.  Live crash/recovery churn is in-loop
     surgery on the server objects, which a process boundary makes
     unreachable, so a multi-process soak runs without churn (the
     crashed-shard path is covered by the cluster tests instead).
@@ -129,7 +127,7 @@ def serve_load_spec(
     background gossip task per shard — the configuration under which the
     probe-fallback round all but disappears from the read path.
     """
-    if codec != "json" or processes > 0:
+    if processes > 0:
         transport = "tcp"
     if scenario is None:
         scenario = serve_scenario(byzantine=selection != "latency-aware")
@@ -160,7 +158,6 @@ def serve_load_spec(
         selection=selection,
         writers=writers,
         contention=contention,
-        codec=codec,
         processes=processes,
         trace_sample=trace_sample,
         monitor_epsilon=monitor_epsilon,
@@ -182,7 +179,6 @@ def run_serve(
     key_skew: float = 0.0,
     writers: int = None,
     contention: float = 0.0,
-    codec: str = "json",
     processes: int = None,
     trace_sample: float = 0.0,
     trace_out: str = None,
@@ -238,7 +234,6 @@ def run_serve(
             key_skew=key_skew,
             writers=writers,
             contention=contention,
-            codec=codec,
             processes=processes or 0,
             trace_sample=trace_sample,
             monitor_epsilon=monitor_epsilon,

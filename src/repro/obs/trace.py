@@ -20,8 +20,8 @@ result is classified:
   ``fabricated``) stamped by the load harness after the shared classifier
   runs.
 
-Traces cross the process boundary by **id**: the wire codecs carry the
-64-bit ``trace_id`` in a negotiated envelope extension
+Traces cross the process boundary by **id**: a traced request frame
+carries the 64-bit ``trace_id`` as a sixth envelope element
 (:mod:`repro.service.wire`), so a server process can attribute the requests
 it handles to the client-side trace without shipping the record itself.
 

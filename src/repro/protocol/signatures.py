@@ -94,8 +94,12 @@ class SignatureScheme:
         timestamp: Timestamp,
         signature: Optional[bytes],
     ) -> bool:
-        """Whether ``signature`` is the writer's signature on these fields."""
-        if not signature:
+        """Whether ``signature`` is the writer's signature on these fields.
+
+        Anything but non-empty ``bytes`` — a Byzantine peer can put any
+        value in the signature field — is simply not a valid signature.
+        """
+        if not isinstance(signature, bytes) or not signature:
             return False
         expected = self.sign(variable, value, timestamp)
         return hmac.compare_digest(expected, signature)

@@ -24,8 +24,8 @@ safety under live fault injection.
   dissemination (§4) and masking (§5) read protocols, labelled through the
   same classifier as both Monte-Carlo engines;
 * :mod:`repro.service.wire` — the socket transport's length-prefixed,
-  type-tagged JSON frame codec (round-trip safe for every protocol payload,
-  resilient to arbitrary chunk boundaries);
+  struct-packed frame codec (round-trip safe for every protocol payload,
+  resilient to arbitrary chunk boundaries, versioned by its magic byte);
 * :mod:`repro.service.net` — the *real* transport: per-shard
   :class:`TcpServiceServer` replica groups behind localhost sockets, a
   :class:`TcpTransport` implementing the same call/counter interface with
@@ -72,7 +72,7 @@ from repro.service.sharding import (
     ShardedDeployment,
     shard_for_key,
 )
-from repro.service.wire import FrameDecoder, encode_frame, pack_value, unpack_value
+from repro.service.wire import FrameDecoder, dump, encode_frame
 from repro.service.stats import EwmaLatencyTracker
 from repro.service.node import NO_REPLY, ServiceNode
 from repro.service.register import (
@@ -92,8 +92,7 @@ __all__ = [
     "remote_nodes",
     "FrameDecoder",
     "encode_frame",
-    "pack_value",
-    "unpack_value",
+    "dump",
     "ShardedDeployment",
     "ShardedAsyncRegisterClient",
     "shard_for_key",

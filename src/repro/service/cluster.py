@@ -6,7 +6,7 @@ the whole deployment then shares one core with the load that drives it.
 This module moves each shard into its own OS process:
 
 * :class:`ShardServerConfig` — the picklable description one shard server
-  needs (scenario, sampled failure plan, bind host, codecs); it crosses the
+  needs (scenario, sampled failure plan, bind host); it crosses the
   ``multiprocessing`` *spawn* boundary, so child processes never inherit
   the parent's interpreter state.
 * :func:`_shard_server_main` — the child entry point: build the replica
@@ -70,7 +70,6 @@ from repro.service.net import (
 from repro.service.node import ServiceNode
 from repro.service.sharding import ShardedClientAPI, _Shard, shard_for_key
 from repro.service.stats import EwmaLatencyTracker
-from repro.service.wire import WIRE_CODECS
 from repro.simulation.failures import FailurePlan
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
@@ -90,7 +89,6 @@ class ShardServerConfig:
     scenario: ScenarioSpec
     plan: FailurePlan
     host: str = "127.0.0.1"
-    codecs: Tuple[str, ...] = WIRE_CODECS
     #: Optional :class:`~repro.simulation.scenario.AntiEntropySpec`: a
     #: gossiping spec arms a background gossip task next to the server.
     anti_entropy: Any = None
@@ -104,7 +102,7 @@ async def _serve_shard(config: ShardServerConfig, ready) -> None:
         nodes[server].crash()
     for server, behavior in config.plan.byzantine.items():
         nodes[server].set_behavior(behavior)
-    server = TcpServiceServer(nodes, host=config.host, codecs=tuple(config.codecs))
+    server = TcpServiceServer(nodes, host=config.host)
     address = await server.start()
     gossip = None
     if config.anti_entropy is not None and config.anti_entropy.gossips:
@@ -174,9 +172,8 @@ class ClusterDeployment(ShardedClientAPI):
     in-loop deployment, so one seed describes the same cluster in both
     shapes.
 
-    Parameters mirror ``ShardedDeployment`` (transport is always TCP here)
-    plus ``codec`` — the wire codec client transports prefer (negotiated
-    per connection; the shard servers accept every codec).  A gossiping
+    Parameters mirror ``ShardedDeployment`` (transport is always TCP here).
+    A gossiping
     ``anti_entropy`` spec (explicit, or inherited from the scenario) arms a
     background gossip task *inside each shard server process*; its counters
     ride the readiness pipe home at shutdown as extra metric snapshots.
@@ -186,7 +183,6 @@ class ClusterDeployment(ShardedClientAPI):
         self,
         scenario: ScenarioSpec,
         shards: int = 1,
-        codec: str = "json",
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
@@ -205,10 +201,6 @@ class ClusterDeployment(ShardedClientAPI):
             )
         if shards < 1:
             raise ConfigurationError(f"need at least one shard, got {shards}")
-        if codec not in WIRE_CODECS:
-            raise ConfigurationError(
-                f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
-            )
         if dispatch not in DISPATCH_MODES:
             raise ConfigurationError(
                 f"unknown dispatch mode {dispatch!r}; choose from {DISPATCH_MODES}"
@@ -229,7 +221,6 @@ class ClusterDeployment(ShardedClientAPI):
             )
         self.anti_entropy = anti_entropy
         self.scenario = scenario
-        self.codec = codec
         self.transport_mode = "tcp"
         self.latency_tracking = bool(latency_tracking)
         self._knobs = (latency, jitter, drop_probability, dispatch)
@@ -308,8 +299,6 @@ class ClusterDeployment(ShardedClientAPI):
                 jitter=jitter,
                 drop_probability=drop_probability,
                 seed=shard.transport_seed,
-                codec=self.codec,
-                trace=self.tracer is not None,
             )
             await shard.transport.connect()
             if dispatch == "batched":
@@ -430,7 +419,7 @@ class ClusterDeployment(ShardedClientAPI):
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
             f"ClusterDeployment({self.scenario.describe()}, "
-            f"shards={len(self.shards)}, codec={self.codec!r}, "
+            f"shards={len(self.shards)}, "
             f"alive={self.processes_alive})"
         )
 
@@ -447,7 +436,6 @@ class ClusterClientPool(ShardedClientAPI):
         self,
         scenario: ScenarioSpec,
         addresses: Sequence[Tuple[str, int]],
-        codec: str = "json",
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
@@ -456,7 +444,6 @@ class ClusterClientPool(ShardedClientAPI):
         pool_seeds: Optional[Sequence[int]] = None,
     ) -> None:
         self.scenario = scenario
-        self.codec = codec
         self.transport_mode = "tcp"
         self._started = False
         self._knobs = (latency, jitter, drop_probability, dispatch)
@@ -486,8 +473,6 @@ class ClusterClientPool(ShardedClientAPI):
                 jitter=jitter,
                 drop_probability=drop_probability,
                 seed=shard.transport_seed,
-                codec=self.codec,
-                trace=self.tracer is not None,
             )
             await shard.transport.connect()
             if dispatch == "batched":
@@ -539,7 +524,7 @@ class LoadWorkerConfig:
 
 
 def merge_worker_provenance(values: Sequence[Any]) -> Any:
-    """Merge per-worker provenance fields (``loop_driver``, ``codec``).
+    """Merge per-worker provenance fields (``loop_driver``).
 
     Returns the single shared value when every worker agrees and the
     per-worker list (worker order preserved) when they differ — never
@@ -578,7 +563,6 @@ async def _drive_worker(config: LoadWorkerConfig) -> Dict[str, Any]:
     pool = ClusterClientPool(
         scenario,
         config.addresses,
-        codec=spec.codec,
         latency=spec.latency,
         jitter=spec.jitter,
         drop_probability=spec.drop_probability,
@@ -586,9 +570,7 @@ async def _drive_worker(config: LoadWorkerConfig) -> Dict[str, Any]:
         transport_seeds=config.transport_seeds,
         pool_seeds=config.pool_seeds,
     )
-    # Installed before start(): the pool's transports offer the trace
-    # extension in their handshakes only when a tracer exists.  Disjoint
-    # id bases keep trace ids globally unique across workers.
+    # Disjoint id bases keep trace ids globally unique across workers.
     tracer = (
         Tracer(
             sample_rate=spec.trace_sample,
@@ -703,9 +685,6 @@ async def _drive_worker(config: LoadWorkerConfig) -> Dict[str, Any]:
             *(run_reader(reader, index) for index, reader in enumerate(readers)),
         )
         elapsed = time.perf_counter() - started
-        negotiated = {
-            (shard.transport.negotiated_codec or "json") for shard in pool.shards
-        }
         return {
             "elapsed": elapsed,
             "reads": counters["reads"],
@@ -725,9 +704,6 @@ async def _drive_worker(config: LoadWorkerConfig) -> Dict[str, Any]:
             # values: each worker reports what actually drove and carried
             # *its* slice of the load.
             "loop_driver": "asyncio",
-            "codec": (
-                negotiated.pop() if len(negotiated) == 1 else sorted(negotiated)
-            ),
             "traces": tracer.to_dicts() if tracer is not None else [],
             "metrics": pool.metrics_snapshots({"worker": config.worker}),
             "epsilon_alerts": list(monitor.alerts) if monitor is not None else [],
@@ -793,7 +769,6 @@ async def _cluster_load(spec: Any):
     cluster = ClusterDeployment(
         spec.scenario,
         shards=spec.shards,
-        codec=spec.codec,
         latency=spec.latency,
         jitter=spec.jitter,
         drop_probability=spec.drop_probability,
@@ -896,7 +871,6 @@ async def _cluster_load(spec: Any):
             loop_driver=merge_worker_provenance(
                 [result["loop_driver"] for result in results]
             ),
-            codec=merge_worker_provenance([result["codec"] for result in results]),
             traces=traces,
             metrics=metrics,
             epsilon_alerts=epsilon_alerts,

@@ -64,7 +64,6 @@ from repro.service.client import (
 )
 from repro.service.dispatch import DISPATCH_MODES
 from repro.service.sharding import TRANSPORT_MODES, ShardedDeployment, shard_for_key
-from repro.service.wire import WIRE_CODECS
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
 try:  # pragma: no cover - exercised only where the optional extra is installed
@@ -215,9 +214,6 @@ class ServiceLoadSpec:
     seed: int = 0
     writers: Optional[int] = None
     contention: float = 0.0
-    #: Wire codec the TCP transports prefer (``"json"`` or ``"binary"``;
-    #: negotiated per connection, JSON is always the fallback).
-    codec: str = "json"
     #: ``0`` (default) keeps everything on the caller's event loop; ``> 0``
     #: deploys via :class:`~repro.service.cluster.ClusterDeployment` (one
     #: server process per shard) and splits the load over this many worker
@@ -317,15 +313,6 @@ class ServiceLoadSpec:
             raise ConfigurationError(
                 f"the quorum pool size must be non-negative, got {self.quorum_pool}"
             )
-        if self.codec not in WIRE_CODECS:
-            raise ConfigurationError(
-                f"unknown wire codec {self.codec!r}; choose from {WIRE_CODECS}"
-            )
-        if self.codec != "json" and self.transport != "tcp":
-            raise ConfigurationError(
-                "codec applies to the wire: transport='inproc' passes payloads "
-                "by reference, so codec='json' is the only valid spelling there"
-            )
         if self.processes < 0:
             raise ConfigurationError(
                 f"the process count must be non-negative, got {self.processes}"
@@ -419,8 +406,6 @@ class ServiceLoadSpec:
             )
             if self.key_skew:
                 extras += f", key_skew={self.key_skew}"
-        if self.codec != "json":
-            extras += f", codec={self.codec}"
         if self.processes:
             extras += f", processes={self.processes}"
         if self.resolved_writers > 1:
@@ -486,10 +471,6 @@ class ServiceLoadReport:
     transport: str = "inproc"
     #: Completed operations routed to each shard (length ``spec.shards``).
     shard_ops: List[int] = field(default_factory=list)
-    #: Wire codec the run's transports preferred ("json"/"binary"); merged
-    #: across workers with the same list-when-differing rule as
-    #: ``loop_driver``.
-    codec: Any = "json"
     #: Sampled :class:`~repro.obs.trace.QuorumTrace` dicts (empty unless
     #: ``spec.trace_sample > 0``).
     traces: List[dict] = field(default_factory=list)
@@ -723,11 +704,8 @@ async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
         # are independent replica groups, so latency estimates never mix.
         latency_tracking=spec.selection == "latency-aware",
         rng=rng,
-        codec=spec.codec,
         anti_entropy=spec.resolved_anti_entropy,
     )
-    # Installed before start(): a TCP deployment offers the trace envelope
-    # extension in its connection handshakes only when a tracer exists.
     tracer = (
         Tracer(sample_rate=spec.trace_sample, seed=spec.seed)
         if spec.trace_sample > 0.0
@@ -897,7 +875,6 @@ async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
             gossip_rounds=deployment.gossip_rounds,
             transport=spec.transport,
             shard_ops=shard_ops,
-            codec=spec.codec,
             traces=tracer.to_dicts() if tracer is not None else [],
             metrics=deployment.metrics_snapshots() + [harness.to_dict()],
             epsilon_alerts=list(monitor.alerts) if monitor is not None else [],
@@ -927,9 +904,9 @@ def run_service_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
     if spec.processes > 0:
         from repro.service.cluster import run_cluster_load
 
-        # The cluster merge records each worker's actual loop driver and
-        # codec (a single value when they agree, the per-worker list when
-        # not) — do not overwrite its provenance here.
+        # The cluster merge records each worker's actual loop driver (a
+        # single value when they agree, the per-worker list when not) — do
+        # not overwrite its provenance here.
         return run_cluster_load(spec)
     if _uvloop is None:
         report = asyncio.run(serve_load(spec))

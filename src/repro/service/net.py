@@ -29,22 +29,17 @@ The conformance suite (``tests/conformance``) asserts that classification
 rates over this path agree with the in-process service and both Monte-Carlo
 engines, and that no fabricated value is ever accepted.
 
-Frames are the length-prefixed format of :mod:`repro.service.wire` under
-either codec (tagged JSON, or the struct-packed binary fast path);
-request/response shapes::
+Frames are the length-prefixed, struct-packed format of
+:mod:`repro.service.wire`; request/response shapes::
 
     ("req", request_id, server_id, method, args_tuple)
+    ("req", request_id, server_id, method, args_tuple, trace_id)  # traced
     ("rsp", request_id, reply_envelope)
-    ("hello", [codec, ...]) / ("hello", chosen)     # codec negotiation
 
-Negotiation is per connection: a client preferring the binary codec opens
-with a JSON-encoded hello offering its codecs, the server answers with its
-choice, and each side then *sends* its negotiated codec (every frame
-self-identifies, so decoding needs no negotiation state).  A pre-codec
-peer treats the hello as a malformed request and drops the connection; the
-client detects the EOF, marks the whole transport JSON-only and
-reconnects — binary clients interoperate with JSON-only servers at the
-cost of one extra connect.
+There is no handshake: a connection carries frames from its first byte.
+The wire-version byte opening every body is the only compatibility check —
+a peer sending anything else loses its connection — and a traced client
+simply sends the six-element envelope, which every server accepts.
 """
 
 from __future__ import annotations
@@ -57,22 +52,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.node import NO_REPLY, ServiceNode
 from repro.service.transport import AsyncTransport
 from repro.service.wire import (
-    WIRE_CODECS,
     FrameDecoder,
-    choose_codec,
     decode_binary_request_body,
     decode_binary_response_body,
-    encode_frame,
     encode_request_frame,
     encode_response_frame,
-    hello_frame,
-    hello_offers_trace,
-    hello_reply_frame,
-    join_negotiated,
-    offer_codecs,
-    parse_hello,
     request_tail,
-    split_negotiated,
 )
 
 #: Socket read size for both the server's and the client's reader loops.
@@ -137,18 +122,9 @@ class TcpServiceServer:
     host, port:
         Bind address; ``port=0`` (the default) lets the OS pick a free
         ephemeral port, published via :attr:`address` after :meth:`start`.
-    codecs:
-        The wire codecs this server will negotiate (a client's hello picks
-        the first of its offers present here).  Must include ``"json"`` —
-        it is the negotiation carrier and the pre-codec fallback; pass
-        ``codecs=("json",)`` to deploy a JSON-only server.
-    trace:
-        Whether the server accepts the negotiated trace-context envelope
-        extension (clients offering the ``"trace"`` token then send
-        6-tuple request frames carrying their trace id).  ``False``
-        reproduces a pre-trace server exactly — the token is ignored and
-        only 5-tuple requests are accepted — which is what the
-        degradation tests deploy.
+
+    Requests arrive as 5-tuples, or as 6-tuples carrying the client's trace
+    id; both are served identically, and the trace ids are counted.
     """
 
     def __init__(
@@ -156,30 +132,16 @@ class TcpServiceServer:
         nodes: Sequence[ServiceNode],
         host: str = "127.0.0.1",
         port: int = 0,
-        codecs: Sequence[str] = WIRE_CODECS,
-        trace: bool = True,
     ) -> None:
         self.nodes = list(nodes)
         self.host = host
         self.port = int(port)
-        self.codecs = tuple(codecs)
-        if "json" not in self.codecs:
-            raise ServiceError(
-                "the server's codecs must include 'json' (the negotiation "
-                f"carrier and pre-codec fallback), got {self.codecs!r}"
-            )
-        for name in self.codecs:
-            if name not in WIRE_CODECS:
-                raise ServiceError(
-                    f"unknown wire codec {name!r}; choose from {WIRE_CODECS}"
-                )
         self._server: Optional[asyncio.AbstractServer] = None
         self._connection_tasks: "set[asyncio.Task]" = set()
         self._connection_writers: "set[asyncio.StreamWriter]" = set()
-        self.trace_support = bool(trace)
         self.connections_accepted = 0
         self.requests_handled = 0
-        #: Requests that arrived with a trace id (the extension negotiated).
+        #: Requests that arrived with a trace id (the six-element envelope).
         self.traced_requests = 0
         #: The most recent trace id seen (tests pin cross-process survival).
         self.last_trace_id: Optional[int] = None
@@ -225,9 +187,7 @@ class TcpServiceServer:
         self.connections_accepted += 1
         self._connection_tasks.add(asyncio.current_task())
         self._connection_writers.add(writer)
-        decoder = FrameDecoder(decode_binary=decode_binary_request_body)
-        codec = "json"  # per-connection response codec until a hello says otherwise
-        traced = False  # whether this connection negotiated the trace extension
+        decoder = FrameDecoder(decode_body=decode_binary_request_body)
         try:
             while True:
                 chunk = await reader.read(_READ_CHUNK)
@@ -240,15 +200,7 @@ class TcpServiceServer:
                 # point — a slow peer throttles itself, nobody else.
                 responses: List[bytes] = []
                 for frame in decoder.feed(chunk):
-                    offered = parse_hello(frame)
-                    if offered is not None:
-                        codec = choose_codec(offered, self.codecs)
-                        traced = self.trace_support and hello_offers_trace(offered)
-                        responses.append(
-                            hello_reply_frame(join_negotiated(codec, traced))
-                        )
-                        continue
-                    reply_frame = self._handle_request(frame, codec, traced)
+                    reply_frame = self._handle_request(frame)
                     if reply_frame is not None:
                         responses.append(reply_frame)
                 if responses:
@@ -267,19 +219,14 @@ class TcpServiceServer:
             self._connection_writers.discard(writer)
             self._connection_tasks.discard(asyncio.current_task())
 
-    def _handle_request(
-        self, frame: Any, codec: str = "json", traced: bool = False
-    ) -> Optional[bytes]:
+    def _handle_request(self, frame: Any) -> Optional[bytes]:
         try:
             trace_id: Optional[int] = None
-            if traced and isinstance(frame, tuple) and len(frame) == 6:
+            if isinstance(frame, tuple) and len(frame) == 6:
                 kind, request_id, server_id, method, args, trace_id = frame
                 if not isinstance(trace_id, int):
                     raise ValueError(trace_id)
             else:
-                # Off a trace-negotiated connection the envelope stays the
-                # strict 5-tuple: a 6-tuple from a peer that never offered
-                # the token is as malformed as it always was.
                 kind, request_id, server_id, method, args = frame
             if kind != "req" or not isinstance(args, tuple):
                 raise ValueError(kind)
@@ -304,7 +251,7 @@ class TcpServiceServer:
             # Silence stays silence on the wire: the caller's deadline is
             # the only thing that resolves it, as on the in-process paths.
             return None
-        return encode_response_frame(request_id, reply, codec)
+        return encode_response_frame(request_id, reply)
 
     def metrics_snapshot(self, labels: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """This server's metrics as a mergeable registry snapshot.
@@ -344,34 +291,27 @@ class _TcpConnection:
     def connected(self) -> bool:
         return self._writer is not None and not self._writer.is_closing()
 
-    async def ensure(self, connect_timeout: Optional[float] = None) -> None:
-        """(Re)open the socket — and negotiate its codec — when needed.
-
-        ``connect_timeout`` bounds the whole connect (handshake included)
-        so a blackholed peer costs the caller its RPC deadline, not the OS
-        connect timeout.  After this returns, the transport's
-        ``negotiated_codec`` is resolved and :meth:`enqueue` cannot block.
-        """
-        if self.connected:
-            return
-        if connect_timeout is None:
-            await self._connect()
-        else:
-            try:
-                await asyncio.wait_for(self._connect(), connect_timeout)
-            except asyncio.TimeoutError:
-                raise ConnectionError(
-                    f"connect to {self.transport.address} exceeded the "
-                    f"{connect_timeout}s deadline"
-                ) from None
-
     def enqueue(self, frame: bytes) -> None:
-        """Queue one already-encoded frame on a connection :meth:`ensure`-d up."""
+        """Queue one already-encoded frame on an open connection."""
         self._queue.put_nowait(frame)
 
     async def send(self, frame: bytes, connect_timeout: Optional[float] = None) -> None:
-        """Queue one frame, (re)opening the socket first when needed."""
-        await self.ensure(connect_timeout)
+        """Queue one frame, (re)opening the socket first when needed.
+
+        ``connect_timeout`` bounds the connect so a blackholed peer costs
+        the caller its RPC deadline, not the OS connect timeout.
+        """
+        if not self.connected:
+            if connect_timeout is None:
+                await self._connect()
+            else:
+                try:
+                    await asyncio.wait_for(self._connect(), connect_timeout)
+                except asyncio.TimeoutError:
+                    raise ConnectionError(
+                        f"connect to {self.transport.address} exceeded the "
+                        f"{connect_timeout}s deadline"
+                    ) from None
         self._queue.put_nowait(frame)
 
     async def _connect(self) -> None:
@@ -381,84 +321,18 @@ class _TcpConnection:
             await self._teardown()
             transport = self.transport
             host, port = transport.address
-            reader, writer = await asyncio.open_connection(host, port)
-            decoder = FrameDecoder(decode_binary=decode_binary_response_body)
-            # Negotiate when the transport wants a non-JSON codec (unless a
-            # previous handshake already fell back to JSON) or the trace
-            # extension (unless a failed handshake disabled hellos for this
-            # transport).  A plain JSON-preference transport with no tracing
-            # still skips the hello entirely — pre-codec byte compatibility.
-            want_codec = (
-                transport.codec_preference != "json"
-                and transport.negotiated_codec != "json"
-            )
-            want_trace = transport.trace_wanted and not transport.hello_disabled
-            if want_codec or want_trace:
-                reader, writer, decoder = await self._negotiate(reader, writer, decoder)
-            self._reader, self._writer = reader, writer
+            self._reader, self._writer = await asyncio.open_connection(host, port)
             self._queue = asyncio.Queue()
             self._tasks = [
                 asyncio.create_task(_drain_queue(self._queue, self._writer)),
-                asyncio.create_task(self._read_loop(self._reader, decoder)),
+                asyncio.create_task(self._read_loop(self._reader)),
             ]
             if self._was_connected:
                 transport.reconnects += 1
             self._was_connected = True
 
-    async def _negotiate(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        decoder: FrameDecoder,
-    ):
-        """The hello exchange; falls back to JSON (and reconnects) on old peers."""
-        transport = self.transport
-        try:
-            writer.write(
-                hello_frame(
-                    offer_codecs(
-                        transport.offered_codecs, trace=transport.trace_wanted
-                    )
-                )
-            )
-            await writer.drain()
-            frames: List[Any] = []
-            while not frames:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    raise ConnectionResetError("peer closed during codec negotiation")
-                frames = decoder.feed(chunk)
-            chosen = parse_hello(frames[0])
-            if not isinstance(chosen, str):
-                raise WireFormatError(f"expected a hello reply, got {frames[0]!r}")
-        except (ConnectionError, OSError, WireFormatError):
-            # A pre-codec peer treats the hello as a malformed request and
-            # drops the connection.  Fall back to JSON for the *transport*
-            # (one extra connect total, not one per pooled connection), give
-            # up on the trace extension, and reconnect without a handshake.
-            transport.negotiated_codec = "json"
-            transport.negotiated_trace = False
-            transport.hello_disabled = True
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            host, port = transport.address
-            reader, writer = await asyncio.open_connection(host, port)
-            return reader, writer, FrameDecoder(decode_binary=decode_binary_response_body)
-        chosen, traced = split_negotiated(chosen)
-        transport.negotiated_trace = traced and transport.trace_wanted
-        transport.negotiated_codec = chosen if chosen in WIRE_CODECS else "json"
-        for frame in frames[1:]:  # responses glued onto the hello reply
-            transport._dispatch_response(frame)
-        return reader, writer, decoder
-
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, decoder: Optional[FrameDecoder] = None
-    ) -> None:
-        if decoder is None:
-            decoder = FrameDecoder(decode_binary=decode_binary_response_body)
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        decoder = FrameDecoder(decode_body=decode_binary_response_body)
         try:
             while True:
                 chunk = await reader.read(_READ_CHUNK)
@@ -510,18 +384,6 @@ class TcpTransport(AsyncTransport):
     connections:
         Sockets the transport stripes RPCs across; each has its own writer
         task, so one slow ``drain`` never blocks the others.
-    codec:
-        The *preferred* wire codec.  ``"json"`` (the default) sends the
-        pre-codec byte stream with no hello handshake; ``"binary"`` offers
-        the struct-packed codec per connection and falls back to JSON
-        against servers that do not speak it.  :attr:`negotiated_codec`
-        records the outcome once the first connection is up.
-    trace:
-        Whether to offer the trace-context envelope extension in the hello
-        (a JSON-preference transport then handshakes too).  Trace ids ride
-        the request frames only once :attr:`negotiated_trace` confirms the
-        server accepted the offer — against a pre-trace server everything
-        degrades to plain envelopes.
     """
 
     def __init__(
@@ -532,31 +394,12 @@ class TcpTransport(AsyncTransport):
         drop_probability: float = 0.0,
         seed: int = 0,
         connections: int = DEFAULT_CONNECTIONS,
-        codec: str = "json",
-        trace: bool = False,
     ) -> None:
         super().__init__(
             latency=latency, jitter=jitter, drop_probability=drop_probability, seed=seed
         )
         if connections < 1:
             raise ServiceError(f"need at least one connection, got {connections}")
-        if codec not in WIRE_CODECS:
-            raise ServiceError(
-                f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
-            )
-        self.codec_preference = codec
-        #: Codecs offered in the hello (preference first; JSON always last).
-        self.offered_codecs = (codec, "json") if codec != "json" else ("json",)
-        #: The codec this transport *sends*: resolved immediately for a JSON
-        #: preference, by the first connection's handshake otherwise.
-        self.negotiated_codec: Optional[str] = "json" if codec == "json" else None
-        #: Whether the hello should offer the trace extension at all.
-        self.trace_wanted = bool(trace)
-        #: Whether the server accepted it (set by the handshake).
-        self.negotiated_trace = False
-        #: Set when a handshake failed outright: stop offering hellos so a
-        #: tracing JSON-preference transport still talks to hello-less peers.
-        self.hello_disabled = False
         self.address = (str(address[0]), int(address[1]))
         self._connections = [_TcpConnection(self) for _ in range(connections)]
         #: request_id -> Future (per-RPC path) or (op, server) (dispatcher path).
@@ -611,10 +454,7 @@ class TcpTransport(AsyncTransport):
         (simulated-)dropped, the reply missed the wall-clock deadline, or
         the connection failed and could not be re-established in time; the
         error carries a ``disposition`` attribute for trace spans.  A
-        ``trace_id`` rides the request envelope only once the connection
-        handshake confirmed the server speaks the trace extension
-        (:attr:`negotiated_trace`); otherwise it is silently omitted so
-        un-instrumented peers keep interoperating.
+        ``trace_id`` rides the request envelope as its sixth element.
         """
         self.calls += 1
         if self.drop_probability > 0.0 and self.rng.random() < self.drop_probability:
@@ -650,15 +490,14 @@ class TcpTransport(AsyncTransport):
         started = loop.time()
         try:
             try:
-                # Connect (and, first time, negotiate the codec) before
-                # encoding: the request must be framed in whatever codec the
-                # handshake lands on.
-                await connection.ensure(connect_timeout=timeout)
-                payload = ("req", request_id, node.server_id, method, args)
-                if trace_id is not None and self.negotiated_trace:
-                    payload = payload + (trace_id,)
-                connection.enqueue(
-                    encode_frame(payload, self.negotiated_codec or "json")
+                await connection.send(
+                    encode_request_frame(
+                        request_id,
+                        node.server_id,
+                        request_tail(method, args),
+                        trace_id=trace_id,
+                    ),
+                    connect_timeout=timeout,
                 )
             except (ConnectionError, OSError) as error:
                 # Unreachable server: burn (the rest of) the deadline like
@@ -835,11 +674,7 @@ class TcpDispatcher:
         )
         if connection is None:
             return
-        tail = request_tail(
-            "repair",
-            (variable, value, timestamp, signature),
-            codec=transport.negotiated_codec or "json",
-        )
+        tail = request_tail("repair", (variable, value, timestamp, signature))
         connection.enqueue(encode_request_frame(request_id, server, tail))
         self.repairs_piggybacked += 1
 
@@ -896,36 +731,10 @@ class TcpDispatcher:
         connections = transport._connections
         stripes = len(connections)
         pending = transport._pending
-        codec = transport.negotiated_codec
-        if codec is None or (
-            trace is not None
-            and transport.trace_wanted
-            and not transport.negotiated_trace
-            and not transport.hello_disabled
-        ):
-            # First op on a binary-preference (or traced) transport: bring
-            # one connection up (running the hello handshake) so the tail
-            # below is built in the codec the whole fan-out will be sent in
-            # and the trace-extension verdict is known before framing.
-            remaining = (
-                None if timeout is None else max(op.start + timeout - loop.time(), 0.001)
-            )
-            try:
-                await connections[0].ensure(connect_timeout=remaining)
-            except (ConnectionError, OSError):
-                pass  # the per-server sends below fail (and count) individually
-            codec = transport.negotiated_codec or "json"
         # The (method, args) payload is serialised once per op, not per
         # frame: only request_id and server differ between the q frames.
-        tail = request_tail(method, args, codec=codec)
-        # The trace id joins the envelope only once the handshake (run by
-        # `ensure` above or an earlier op) confirmed the server speaks the
-        # extension; otherwise the frames stay byte-identical to untraced.
-        trace_id = (
-            trace.trace_id
-            if trace is not None and transport.negotiated_trace
-            else None
-        )
+        tail = request_tail(method, args)
+        trace_id = trace.trace_id if trace is not None else None
         for position, server in enumerate(sent):
             if op.future.done():
                 # The deadline fired while this coroutine was suspended

@@ -236,6 +236,10 @@ class AsyncRegister:
         return classify_read_outcome(outcome, self._last_written)
 
 
+#: Value types whose equality implies an identical signed encoding.
+_MEMO_VALUE_TYPES = (str, bytes, int)
+
+
 class AsyncDisseminationRegister(AsyncRegister):
     """Self-verifying data (Section 4): sign writes, discard forgeries."""
 
@@ -254,11 +258,34 @@ class AsyncDisseminationRegister(AsyncRegister):
         return self.signatures.sign(self.name, value, timestamp)
 
     def _filter(self, result: ReadRpcResult) -> dict:
+        # Most of a quorum echoes the same signed record, so each distinct
+        # record is verified once per read.  A verdict is shared only when
+        # equality pins the signed encoding down exactly: an exact-type
+        # Timestamp of exact ints, a bytes signature and a value of one of
+        # _MEMO_VALUE_TYPES.  Anything else gets a plain verify: 1, True
+        # and 1.0 compare equal but sign differently, and so can equal
+        # containers holding them.
         verified = {}
+        verdicts = {}
+        verify = self.signatures.verify
         for server, stored in result.replies.items():
-            if isinstance(stored.timestamp, Timestamp) and self.signatures.verify(
-                self.name, stored.value, stored.timestamp, stored.signature
+            value, timestamp, signature = stored.value, stored.timestamp, stored.signature
+            if not isinstance(timestamp, Timestamp):
+                valid = False
+            elif (
+                type(value) in _MEMO_VALUE_TYPES
+                and type(signature) is bytes
+                and type(timestamp) is Timestamp
+                and type(timestamp.counter) is int
+                and type(timestamp.writer_id) is int
             ):
+                key = (type(value), value, timestamp.counter, timestamp.writer_id, signature)
+                valid = verdicts.get(key)
+                if valid is None:
+                    valid = verdicts[key] = verify(self.name, value, timestamp, signature)
+            else:
+                valid = verify(self.name, value, timestamp, signature)
+            if valid:
                 verified[server] = stored
             else:
                 self.forged_replies_rejected += 1

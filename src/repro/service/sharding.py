@@ -60,7 +60,6 @@ from repro.service.node import ServiceNode
 from repro.service.register import AsyncRegister, async_register_for
 from repro.service.stats import EwmaLatencyTracker
 from repro.service.transport import AsyncTransport
-from repro.service.wire import WIRE_CODECS
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
 #: The two deployment transports the service layer exposes.
@@ -336,11 +335,6 @@ class ShardedDeployment(ShardedClientAPI):
         given — the generator is the more specific request).
     tcp_host:
         Bind address for the per-shard socket servers.
-    codec:
-        The wire codec the TCP transports prefer (``"json"`` or
-        ``"binary"``; negotiated per connection, with JSON fallback).
-        Meaningless — and therefore refused — for ``transport="inproc"``,
-        where payloads pass by reference.
     anti_entropy:
         Optional :class:`~repro.simulation.scenario.AntiEntropySpec`.
         ``None`` (the default) inherits the scenario's own ``anti_entropy``
@@ -365,7 +359,6 @@ class ShardedDeployment(ShardedClientAPI):
         rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
         tcp_host: str = "127.0.0.1",
-        codec: str = "json",
         anti_entropy: Optional[AntiEntropySpec] = None,
     ) -> None:
         if not isinstance(scenario, ScenarioSpec):
@@ -378,15 +371,6 @@ class ShardedDeployment(ShardedClientAPI):
         if transport not in TRANSPORT_MODES:
             raise ConfigurationError(
                 f"unknown transport {transport!r}; choose from {TRANSPORT_MODES}"
-            )
-        if codec not in WIRE_CODECS:
-            raise ConfigurationError(
-                f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
-            )
-        if codec != "json" and transport == "inproc":
-            raise ConfigurationError(
-                "codec applies to the wire: transport='inproc' passes payloads "
-                "by reference, so codec='json' is the only valid spelling there"
             )
         if anti_entropy is None:
             anti_entropy = scenario.anti_entropy
@@ -401,7 +385,6 @@ class ShardedDeployment(ShardedClientAPI):
                 f"than the replica group size {scenario.n}"
             )
         self.anti_entropy = anti_entropy
-        self.codec = codec
         self.scenario = scenario
         self.transport_mode = transport
         self.latency_tracking = bool(latency_tracking)
@@ -475,10 +458,6 @@ class ShardedDeployment(ShardedClientAPI):
                 jitter=jitter,
                 drop_probability=drop_probability,
                 seed=shard.transport_seed,
-                codec=self.codec,
-                # Offer the trace envelope extension only when a tracer is
-                # installed: untraced deployments keep pre-trace frames.
-                trace=self.tracer is not None,
             )
             await shard.transport.connect()
             if dispatch == "batched":

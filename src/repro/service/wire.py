@@ -1,54 +1,46 @@
-"""The socket transport's wire formats: length-prefixed frames, two codecs.
+"""The socket transport's wire format: length-prefixed, struct-packed frames.
 
 The TCP transport (:mod:`repro.service.net`) moves the *same* RPC payloads
 the in-process paths pass by reference — method names, register keys,
 arbitrary written values, :class:`~repro.protocol.timestamps.Timestamp`
 objects (honest and forged), signature bytes and
-:class:`~repro.simulation.server.StoredValue` replies — so a codec must be
-a bijection on that whole value space, not just on JSON's native one.  Two
-codecs implement that bijection behind one framing:
+:class:`~repro.simulation.server.StoredValue` replies — so the codec must be
+a bijection on that whole value space.  A frame is a 4-byte big-endian
+length prefix followed by the body; a body is the magic byte ``0xB1``
+followed by one tag-prefixed value:
 
-**json** (the debug codec and the compatibility fallback) packs every
-container and protocol object behind a one-key tag object before
-serialisation:
+====  ======  ========================================================
+tag   type    layout after the tag byte
+====  ======  ========================================================
+0x00  None    (nothing)
+0x01  True    (nothing)
+0x02  False   (nothing)
+0x03  int     ``!q``
+0x04  int     ``!I`` byte length + signed big-endian magnitude (beyond int64)
+0x05  float   ``!d``
+0x06  str     ``!I`` byte length + UTF-8
+0x07  bytes   ``!I`` byte length + raw bytes
+0x08  list    ``!I`` count + items
+0x09  tuple   ``!I`` count + items
+0x0A  dict    ``!I`` count + key/value pairs (keys need not be strings)
+0x0B  ts      ``!qq`` ``Timestamp(counter, writer_id)``
+0x0C  ts      two packed ints (beyond int64: forged timestamps)
+0x0D  sv      ``StoredValue(value, timestamp, signature)``, each packed
+====  ======  ========================================================
 
-====  ==========================================================
-tag   payload
-====  ==========================================================
-"b"   bytes, as base64 text
-"t"   tuple, as a packed array
-"d"   dict, as packed ``[key, value]`` pairs (keys need not be strings)
-"ts"  ``Timestamp(counter, writer_id)``
-"sv"  ``StoredValue(value, timestamp, signature)``
-====  ==========================================================
+so an RPC request/response tuple costs a handful of ``struct`` packs.
+``decode(encode(x)) == x`` for every supported payload — the hypothesis
+suite in ``tests/service/test_wire.py`` pins the round trips down,
+including adversarially large and empty values.
 
-Plain JSON scalars and lists pass through untouched; plain dicts never
-appear raw on the wire (they are always tagged), which is what makes the
-tag objects unambiguous.
+The magic byte is the **wire version**: a body opening with anything else
+(a legacy text-encoded frame, garbage) raises
+:class:`~repro.exceptions.WireFormatError`, which costs the sending peer its
+connection and nothing more.  There is no handshake.  Request envelopes are
+``("req", request_id, server, method, args)``; a traced client appends its
+64-bit trace id as a sixth element, and every server accepts both lengths.
+:func:`dump` renders any frame as readable text for debugging.
 
-**binary** is the struct-packed fast path: a body starts with the magic
-byte ``0xB1`` (never the first byte of UTF-8 JSON text, so the decoder
-distinguishes the codecs per frame), followed by one tag-prefixed value.
-Fixed layouts cover the protocol's hot shapes — 64-bit ints (``!q``,
-arbitrary-precision fallback), floats (``!d``), length-prefixed UTF-8
-strings and *raw* bytes (no base64), counted lists/tuples/dicts, a
-two-int64 ``Timestamp`` record and a three-field ``StoredValue`` record —
-so RPC request/response tuples cost a handful of ``struct`` packs instead
-of a JSON tree walk.
-
-**Codec negotiation** is per connection and sender-side only: a client
-preferring binary opens with a ``("hello", [codec, ...])`` frame (always
-JSON-encoded, so any peer can read it) and the server answers
-``("hello", chosen)``, after which each side *sends* its negotiated codec.
-Because every frame self-identifies via the magic byte, a receiver needs no
-negotiation state to decode — old JSON-only peers simply drop the hello as
-a malformed request, which the client detects (EOF) and falls back to JSON.
-``encode(decode(x)) == x`` for every supported payload under **both**
-codecs — the hypothesis suite in ``tests/service/test_wire.py`` pins the
-round trips down, including adversarially large and empty values, and pins
-that the same logical frame decodes identically whichever codec carried it.
-
-A frame is a 4-byte big-endian length prefix followed by the body.
 :class:`FrameDecoder` is an *incremental* decoder: feed it whatever chunks
 the socket produced — single bytes, frame fragments, several frames glued
 together — and it yields each complete payload exactly once, holding
@@ -60,10 +52,8 @@ peer can pin.
 
 from __future__ import annotations
 
-import base64
-import json
 import struct
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError, WireFormatError
 from repro.protocol.timestamps import Timestamp
@@ -77,80 +67,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Length-prefix width in bytes (big-endian, unsigned).
 _PREFIX_BYTES = 4
 
-#: The codecs a connection can negotiate.  ``"json"`` is the debug codec
-#: and the universal fallback; ``"binary"`` is the struct-packed fast path.
-WIRE_CODECS = ("json", "binary")
+# -- values ------------------------------------------------------------------------
 
-_SCALARS = (bool, int, float, str)
-
-
-def pack_value(value: Any) -> Any:
-    """Lower one payload to JSON-serialisable form (see the tag table)."""
-    if value is None or isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, bytes):
-        return {"b": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, tuple):
-        return {"t": [pack_value(item) for item in value]}
-    if isinstance(value, list):
-        return [pack_value(item) for item in value]
-    if isinstance(value, dict):
-        return {"d": [[pack_value(key), pack_value(item)] for key, item in value.items()]}
-    if isinstance(value, Timestamp):
-        return {"ts": [value.counter, value.writer_id]}
-    if isinstance(value, StoredValue):
-        return {
-            "sv": [
-                pack_value(value.value),
-                pack_value(value.timestamp),
-                pack_value(value.signature),
-            ]
-        }
-    raise WireFormatError(
-        f"cannot serialise {type(value).__name__!r} for the socket transport"
-    )
-
-
-def unpack_value(packed: Any) -> Any:
-    """Invert :func:`pack_value`; raise on unknown or malformed tags."""
-    if packed is None or isinstance(packed, _SCALARS):
-        return packed
-    if isinstance(packed, list):
-        return [unpack_value(item) for item in packed]
-    if isinstance(packed, dict):
-        if len(packed) != 1:
-            raise WireFormatError(f"malformed wire tag object: {sorted(packed)!r}")
-        tag, body = next(iter(packed.items()))
-        try:
-            if tag == "b":
-                return base64.b64decode(body.encode("ascii"), validate=True)
-            if tag == "t":
-                return tuple(unpack_value(item) for item in body)
-            if tag == "d":
-                return {unpack_value(key): unpack_value(item) for key, item in body}
-            if tag == "ts":
-                counter, writer_id = body
-                return Timestamp(int(counter), int(writer_id))
-            if tag == "sv":
-                value, timestamp, signature = body
-                return StoredValue(
-                    value=unpack_value(value),
-                    timestamp=unpack_value(timestamp),
-                    signature=unpack_value(signature),
-                )
-        except WireFormatError:
-            raise
-        except Exception as error:  # malformed body under a known tag
-            raise WireFormatError(f"malformed {tag!r} wire payload: {error}") from error
-        raise WireFormatError(f"unknown wire tag {tag!r}")
-    raise WireFormatError(f"cannot deserialise wire payload of type {type(packed).__name__!r}")
-
-
-# -- the binary codec --------------------------------------------------------------
-
-#: First body byte of every binary frame.  0xB1 is a UTF-8 continuation
-#: byte, so it can never open the UTF-8 text of a JSON body — which is what
-#: lets :class:`FrameDecoder` dispatch per frame with no negotiation state.
+#: First body byte of every frame: the wire version.  0xB1 is a UTF-8
+#: continuation byte, so no UTF-8 text body can open with it.
 BINARY_MAGIC = 0xB1
 
 _T_NONE = 0x00
@@ -254,9 +174,9 @@ def _pack_float(value: float, out: bytearray) -> None:
     out += _STRUCT_D.pack(value)
 
 
-#: Exact-type dispatch for the hot path (``type(x)`` lookup beats the
-#: isinstance chain the JSON codec walks); ``bool`` precedes ``int`` in the
-#: subclass fallback below for the same reason it does in ``pack_value``.
+#: Exact-type dispatch for the hot path (one ``type(x)`` lookup instead of
+#: an isinstance chain); ``bool`` precedes ``int`` in the subclass fallback
+#: below because ``bool`` subclasses ``int``.
 _BINARY_PACKERS = {
     type(None): _pack_none,
     bool: _pack_bool,
@@ -389,7 +309,7 @@ def decode_binary_body(body: bytes) -> Any:
 
 
 def encode_binary_body(payload: Any) -> bytes:
-    """One payload as a binary frame body (magic byte included)."""
+    """One payload as a frame body (magic byte included)."""
     out = bytearray((BINARY_MAGIC,))
     _pack_binary(payload, out)
     return bytes(out)
@@ -398,16 +318,7 @@ def encode_binary_body(payload: Any) -> bytes:
 # -- framing -----------------------------------------------------------------------
 
 
-def encode_frame(payload: Any, codec: str = "json") -> bytes:
-    """One payload as a length-prefixed frame, ready for a socket write."""
-    if codec == "json":
-        body = json.dumps(pack_value(payload), separators=(",", ":")).encode("utf-8")
-    elif codec == "binary":
-        body = encode_binary_body(payload)
-    else:
-        raise WireFormatError(
-            f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
-        )
+def _framed(body: bytes) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise WireFormatError(
             f"frame body of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
@@ -415,31 +326,27 @@ def encode_frame(payload: Any, codec: str = "json") -> bytes:
     return len(body).to_bytes(_PREFIX_BYTES, "big") + body
 
 
-def request_tail(method: str, args: tuple, codec: str = "json"):
+def encode_frame(payload: Any) -> bytes:
+    """One payload as a length-prefixed frame, ready for a socket write."""
+    return _framed(encode_binary_body(payload))
+
+
+def request_tail(method: str, args: tuple) -> bytes:
     """Pre-serialised shared suffix of a fan-out's request frames.
 
     A quorum fan-out sends ``q`` request frames differing only in
     ``request_id`` and ``server``; serialising the (potentially large)
     ``(method, args)`` payload once per *operation* instead of once per
     frame keeps the wire fast path linear in the payload size.  Compose
-    with :func:`encode_request_frame`; the tail is ``str`` under the JSON
-    codec and ``bytes`` under the binary one.
+    with :func:`encode_request_frame`.
     """
-    if codec == "json":
-        return (
-            json.dumps(method)
-            + ","
-            + json.dumps(pack_value(tuple(args)), separators=(",", ":"))
-        )
-    if codec == "binary":
-        out = bytearray()
-        _pack_str(method, out)
-        _pack_tuple(tuple(args), out)
-        return bytes(out)
-    raise WireFormatError(f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}")
+    out = bytearray()
+    _pack_str(method, out)
+    _pack_tuple(tuple(args), out)
+    return bytes(out)
 
 
-#: Fixed prefix of every binary request body: magic, 5-tuple header, "req".
+#: Fixed prefix of every request body: magic, 5-tuple header, "req".
 _BINARY_REQ_PREFIX = bytes(
     (BINARY_MAGIC, _T_TUPLE)
 ) + _STRUCT_I.pack(5) + bytes((_T_STR,)) + _STRUCT_I.pack(3) + b"req"
@@ -452,66 +359,41 @@ _BINARY_REQ6_PREFIX = bytes(
 
 
 def encode_request_frame(
-    request_id: int, server: int, tail, trace_id: Optional[int] = None
+    request_id: int, server: int, tail: bytes, trace_id: Optional[int] = None
 ) -> bytes:
     """One request frame from a pre-serialised :func:`request_tail`.
 
     Byte-identical to ``encode_frame(("req", request_id, server, method,
-    args), codec)`` for the codec the tail was built with (the tail's type
-    identifies it) — the wire tests pin the equivalence down.  With a
+    args))`` — the wire tests pin the equivalence down.  With a
     ``trace_id`` the envelope grows a sixth element (byte-identical to
-    encoding the 6-tuple); only send it on connections that negotiated the
-    trace extension — an un-instrumented peer rejects 6-tuples.
+    encoding the 6-tuple); every server accepts both envelope lengths.
     """
-    if isinstance(tail, str):
-        if trace_id is None:
-            body = (
-                '{"t":["req",%d,%d,%s]}' % (request_id, server, tail)
-            ).encode("utf-8")
-        else:
-            body = (
-                '{"t":["req",%d,%d,%s,%d]}' % (request_id, server, tail, trace_id)
-            ).encode("utf-8")
-    else:
-        out = bytearray(
-            _BINARY_REQ_PREFIX if trace_id is None else _BINARY_REQ6_PREFIX
-        )
-        _pack_int(request_id, out)
-        _pack_int(server, out)
-        out += tail
-        if trace_id is not None:
-            _pack_int(trace_id, out)
-        body = bytes(out)
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"frame body of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )
-    return len(body).to_bytes(_PREFIX_BYTES, "big") + body
+    out = bytearray(_BINARY_REQ_PREFIX if trace_id is None else _BINARY_REQ6_PREFIX)
+    _pack_int(request_id, out)
+    _pack_int(server, out)
+    out += tail
+    if trace_id is not None:
+        _pack_int(trace_id, out)
+    return _framed(bytes(out))
 
 
-#: Fixed prefix of every binary response body: magic, 3-tuple header, "rsp".
+#: Fixed prefix of every response body: magic, 3-tuple header, "rsp".
 _BINARY_RSP_PREFIX = bytes(
     (BINARY_MAGIC, _T_TUPLE)
 ) + _STRUCT_I.pack(3) + bytes((_T_STR,)) + _STRUCT_I.pack(3) + b"rsp"
 
 
-def encode_response_frame(request_id: int, payload: Any, codec: str = "json") -> bytes:
+def encode_response_frame(request_id: int, payload: Any) -> bytes:
     """One response frame; byte-identical to ``encode_frame(("rsp", ...))``.
 
-    The response envelope is as fixed as the request one, so the binary
-    path glues a precomputed prefix instead of packing the outer tuple —
-    this is the server's per-request hot path.
+    The response envelope is as fixed as the request one, so this glues a
+    precomputed prefix instead of packing the outer tuple — it is the
+    server's per-request hot path.
     """
-    if codec != "binary":
-        return encode_frame(("rsp", request_id, payload), codec)
     out = bytearray(_BINARY_RSP_PREFIX)
     _pack_int(request_id, out)
     _pack_binary(payload, out)
-    if len(out) > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"frame body of {len(out)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )
-    return len(out).to_bytes(_PREFIX_BYTES, "big") + bytes(out)
+    return _framed(bytes(out))
 
 
 def decode_binary_request_body(body: bytes) -> Any:
@@ -523,34 +405,23 @@ def decode_binary_request_body(body: bytes) -> Any:
     else — including a malformed lookalike — falls back to the generic
     decoder, so error behaviour is unchanged.
     """
-    if body.startswith(_BINARY_REQ_PREFIX):
+    traced = body.startswith(_BINARY_REQ6_PREFIX)
+    if traced or body.startswith(_BINARY_REQ_PREFIX):
+        # Both envelopes share one layout; the traced one carries a
+        # trailing trace-id int.
         try:
             if body[14] == _T_INT and body[23] == _T_INT:
                 request_id = _STRUCT_Q.unpack_from(body, 15)[0]
                 server = _STRUCT_Q.unpack_from(body, 24)[0]
                 method, offset = _unpack_binary(body, 32)
                 args, offset = _unpack_binary(body, offset)
-                if offset == len(body) and type(method) is str and type(args) is tuple:
-                    return ("req", request_id, server, method, args)
-        except Exception:
-            pass
-    elif body.startswith(_BINARY_REQ6_PREFIX):
-        # The traced envelope shares the 5-tuple layout plus a trailing
-        # trace-id int; same fixed offsets, one extra field.
-        try:
-            if body[14] == _T_INT and body[23] == _T_INT:
-                request_id = _STRUCT_Q.unpack_from(body, 15)[0]
-                server = _STRUCT_Q.unpack_from(body, 24)[0]
-                method, offset = _unpack_binary(body, 32)
-                args, offset = _unpack_binary(body, offset)
-                trace_id, offset = _unpack_binary(body, offset)
-                if (
-                    offset == len(body)
-                    and type(method) is str
-                    and type(args) is tuple
-                    and type(trace_id) is int
-                ):
-                    return ("req", request_id, server, method, args, trace_id)
+                if type(method) is str and type(args) is tuple:
+                    if traced:
+                        trace_id, offset = _unpack_binary(body, offset)
+                        if offset == len(body) and type(trace_id) is int:
+                            return ("req", request_id, server, method, args, trace_id)
+                    elif offset == len(body):
+                        return ("req", request_id, server, method, args)
         except Exception:
             pass
     return decode_binary_body(body)
@@ -574,77 +445,77 @@ def decode_binary_response_body(body: bytes) -> Any:
     return decode_binary_body(body)
 
 
-# -- codec negotiation -------------------------------------------------------------
-
-#: Capability token a tracing client appends to its offered-codec list.  It
-#: is not a codec: :func:`choose_codec` skips names outside ``supported``,
-#: so an un-instrumented server silently ignores the token and negotiation
-#: degrades to plain frames — exactly the backward-compatibility story the
-#: hello exchange already has for unknown codecs.
-TRACE_TOKEN = "trace"
-
-#: Suffix a trace-aware server appends to its chosen-codec reply when (and
-#: only when) the client offered :data:`TRACE_TOKEN`.
-TRACE_SUFFIX = "+trace"
+def _unversioned(body: bytes) -> WireFormatError:
+    opener = f"0x{body[0]:02x}" if body else "nothing"
+    return WireFormatError(
+        f"frame body opens with {opener}, not the wire-version byte "
+        f"0x{BINARY_MAGIC:02x}"
+    )
 
 
-def offer_codecs(codecs: Sequence[str], trace: bool = False) -> List[str]:
-    """The offered-codec list for a hello, with the trace token if asked."""
-    offered = list(codecs)
-    if trace:
-        offered.append(TRACE_TOKEN)
-    return offered
+# -- debugging ---------------------------------------------------------------------
 
 
-def hello_offers_trace(offered: Any) -> bool:
-    """Whether a hello's offered list carries the trace capability token."""
-    return isinstance(offered, (list, tuple)) and TRACE_TOKEN in offered
+def _render(value: Any) -> str:
+    if isinstance(value, Timestamp):
+        return f"ts({value.counter}, {value.writer_id})"
+    if isinstance(value, StoredValue):
+        return (
+            f"sv({_render(value.value)}, {_render(value.timestamp)}, "
+            f"{_render(value.signature)})"
+        )
+    if isinstance(value, bytes):
+        return f"0x{value.hex()}" if value else "b''"
+    if isinstance(value, tuple):
+        inner = ", ".join(_render(item) for item in value)
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if isinstance(value, list):
+        return "[" + ", ".join(_render(item) for item in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            f"{_render(key)}: {_render(item)}" for key, item in value.items()
+        ) + "}"
+    return repr(value)
 
 
-def split_negotiated(chosen: Any) -> Tuple[Any, bool]:
-    """Split a hello reply into ``(codec, traced)``.
+def dump(frame: bytes) -> str:
+    """Render one length-prefixed frame as readable text (a debugging aid).
 
-    ``"binary+trace"`` → ``("binary", True)``; anything without the suffix
-    (including the replies of pre-trace servers) passes through untraced.
+    Request and response envelopes get a one-line summary
+    (``req #7 -> server 3: read('x') trace=0x2a``); any other payload is
+    rendered as a Python-like literal with ``ts(counter, writer)`` and
+    ``sv(value, ts, signature)`` records and bytes in hex.  A truncated or
+    malformed frame raises :class:`~repro.exceptions.WireFormatError`.
     """
-    if isinstance(chosen, str) and chosen.endswith(TRACE_SUFFIX):
-        return chosen[: -len(TRACE_SUFFIX)], True
-    return chosen, False
-
-
-def join_negotiated(codec: str, traced: bool) -> str:
-    """The server's reply spelling: the codec, suffixed when tracing."""
-    return codec + TRACE_SUFFIX if traced else codec
-
-
-def hello_frame(codecs: Sequence[str]) -> bytes:
-    """The negotiation opener: ``("hello", [codec, ...])``, always JSON."""
-    return encode_frame(("hello", list(codecs)), codec="json")
-
-
-def hello_reply_frame(chosen: str) -> bytes:
-    """The server's answer: ``("hello", chosen)``, always JSON."""
-    return encode_frame(("hello", str(chosen)), codec="json")
-
-
-def parse_hello(frame: Any) -> Optional[Any]:
-    """The hello payload (offered list or chosen name), or ``None``.
-
-    Request frames are 5-tuples and response frames 3-tuples, so a 2-tuple
-    opening with ``"hello"`` is unambiguously a negotiation frame.
-    """
-    if isinstance(frame, tuple) and len(frame) == 2 and frame[0] == "hello":
-        return frame[1]
-    return None
-
-
-def choose_codec(offered: Any, supported: Sequence[str]) -> str:
-    """The first offered codec the receiver supports; JSON as the fallback."""
-    if isinstance(offered, (list, tuple)):
-        for name in offered:
-            if name in supported:
-                return str(name)
-    return "json"
+    frame = bytes(frame)
+    if len(frame) < _PREFIX_BYTES:
+        raise WireFormatError(f"truncated frame: {len(frame)}-byte length prefix")
+    length = int.from_bytes(frame[:_PREFIX_BYTES], "big")
+    body = frame[_PREFIX_BYTES:]
+    if length != len(body):
+        raise WireFormatError(
+            f"truncated frame: the prefix claims {length} body bytes, "
+            f"{len(body)} present"
+        )
+    if not body or body[0] != BINARY_MAGIC:
+        raise _unversioned(body)
+    payload = decode_binary_body(body)
+    size = f"  [{len(frame)} B]"
+    if (
+        type(payload) is tuple
+        and len(payload) in (5, 6)
+        and payload[0] == "req"
+        and type(payload[4]) is tuple
+    ):
+        _, request_id, server, method, args = payload[:5]
+        text = f"req #{request_id} -> server {server}: {method}"
+        text += "(" + ", ".join(_render(arg) for arg in args) + ")"
+        if len(payload) == 6:
+            text += f" trace=0x{payload[5]:x}"
+        return text + size
+    if type(payload) is tuple and len(payload) == 3 and payload[0] == "rsp":
+        return f"rsp #{payload[1]}: {_render(payload[2])}" + size
+    return _render(payload) + size
 
 
 class FrameDecoder:
@@ -653,24 +524,22 @@ class FrameDecoder:
     :meth:`feed` accepts whatever the socket read produced and returns the
     payloads of every frame *completed* by that chunk (possibly none,
     possibly several); partial frames stay buffered until their remaining
-    bytes arrive.  Each frame self-identifies its codec — a body opening
-    with :data:`BINARY_MAGIC` is binary, anything else is JSON — so one
-    decoder handles mid-stream codec switches (e.g. the JSON hello exchange
-    preceding binary traffic).  The decoder is stateful per connection —
-    use one instance per stream.
+    bytes arrive.  A body that does not open with :data:`BINARY_MAGIC`
+    raises :class:`~repro.exceptions.WireFormatError`.  The decoder is
+    stateful per connection — use one instance per stream.
     """
 
     def __init__(
         self,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        decode_binary: Optional[Callable[[bytes], Any]] = None,
+        decode_body: Optional[Callable[[bytes], Any]] = None,
     ) -> None:
         self._buffer = bytearray()
         self._max_frame_bytes = int(max_frame_bytes)
-        #: How binary bodies decode; callers on a known hot path may install
-        #: a specialised decoder (e.g. :func:`decode_binary_request_body`)
+        #: How bodies decode; callers on a known hot path may install a
+        #: specialised decoder (e.g. :func:`decode_binary_request_body`)
         #: that falls back to :func:`decode_binary_body` on anything else.
-        self._decode_binary = decode_binary or decode_binary_body
+        self._decode_body = decode_body or decode_binary_body
         #: Frames decoded so far (tests and server stats).
         self.frames_decoded = 0
 
@@ -689,6 +558,7 @@ class FrameDecoder:
         # per frame.
         offset = 0
         available = len(buffer)
+        decode_body = self._decode_body
         while available - offset >= _PREFIX_BYTES:
             length = int.from_bytes(buffer[offset : offset + _PREFIX_BYTES], "big")
             if length > self._max_frame_bytes:
@@ -701,15 +571,9 @@ class FrameDecoder:
                 break
             body = bytes(buffer[offset + _PREFIX_BYTES : end])
             offset = end
-            if body and body[0] == BINARY_MAGIC:
-                payloads.append(self._decode_binary(body))
-            else:
-                try:
-                    payloads.append(unpack_value(json.loads(body.decode("utf-8"))))
-                except WireFormatError:
-                    raise
-                except ValueError as error:
-                    raise WireFormatError(f"undecodable frame body: {error}") from error
+            if not body or body[0] != BINARY_MAGIC:
+                raise _unversioned(body)
+            payloads.append(decode_body(body))
             self.frames_decoded += 1
         if offset:
             del buffer[:offset]

@@ -28,11 +28,12 @@ The comparable quantities are therefore (a) the fresh rate among *decided*
 (b) each path's deviation mass, which must stay within its scenario's
 analytical ε plus sampling slack.
 
-Beyond the 4×8 grid, standalone cells weld in the variants: the **binary
-codec** (the struct-packed frames negotiated per connection must classify
-reads exactly like the JSON ones), a **ClusterDeployment** (one server
-process per shard plus worker processes: real process boundaries must not
-change the semantics either), and two **anti-entropy** cells (piggybacked
+The ``service-tcp`` path of every grid cell runs on the struct-packed wire
+codec, so forged timestamps and signatures must survive serialisation (and
+still be outvoted) in every cell.  Beyond the 4×8 grid, standalone cells
+weld in the variants: a **ClusterDeployment** (one server process per shard
+plus worker processes: real process boundaries must not change the
+semantics either), and two **anti-entropy** cells (piggybacked
 read-repair + background gossip armed on every path: moving freshness off
 the read path must not move the rates, and gossip must never become a
 fabrication vector).  All are held to the same zero-fabrication and
@@ -136,7 +137,7 @@ def engine_counts(spec: ScenarioSpec, engine: str, trials: int) -> dict:
     }
 
 
-def service_counts(spec: ScenarioSpec, transport: str, codec: str = "json") -> dict:
+def service_counts(spec: ScenarioSpec, transport: str) -> dict:
     if transport == "inproc":
         load = ServiceLoadSpec(
             scenario=spec,
@@ -154,7 +155,6 @@ def service_counts(spec: ScenarioSpec, transport: str, codec: str = "json") -> d
             writes=3,
             deadline=0.1,
             transport="tcp",
-            codec=codec,
             seed=SEED,
         )
     report = run_service_load(load)
@@ -239,25 +239,9 @@ def test_all_four_paths_agree_and_accept_no_fabrication(cell):
     assert_paths_conform(cell, spec, paths)
 
 
-def test_binary_codec_tcp_cell():
-    """The struct-packed wire codec against the adversarial masking cell.
-
-    Forged timestamps and signatures must survive binary serialisation
-    exactly as they do JSON (and still be outvoted): same seed, same
-    bars, decoded by a different codec.
-    """
-    spec = GRID["masking-forger"]
-    paths = {
-        "batch": engine_counts(spec, "batch", BATCH_TRIALS),
-        "service-tcp-json": service_counts(spec, "tcp"),
-        "service-tcp-binary": service_counts(spec, "tcp", codec="binary"),
-    }
-    assert_paths_conform("masking-forger-binary", spec, paths)
-
-
 def cluster_counts(spec: ScenarioSpec) -> dict:
     """The TCP workload on a ClusterDeployment: 2 shard server processes,
-    2 load-worker processes, binary codec."""
+    2 load-worker processes."""
     load = ServiceLoadSpec(
         scenario=spec,
         clients=20,
@@ -267,7 +251,6 @@ def cluster_counts(spec: ScenarioSpec) -> dict:
         transport="tcp",
         shards=2,
         keys=2,
-        codec="binary",
         processes=2,
         seed=SEED,
     )

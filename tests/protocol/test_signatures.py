@@ -50,6 +50,15 @@ class TestSignatureScheme:
         assert not scheme.verify("x", "v", Timestamp(1, 0), None)
         assert not scheme.verify("x", "v", Timestamp(1, 0), b"")
 
+    @pytest.mark.parametrize("signature", ["forged", [1], 7, 7.5, ("s",), bytearray(b"s")])
+    def test_non_bytes_signature_fails_instead_of_raising(self, signature):
+        """A Byzantine reply can carry anything in its signature field;
+        it must be rejected, never crash the reader."""
+        scheme = SignatureScheme(b"writer-key")
+        assert not scheme.verify("x", "v", Timestamp(1, 0), signature)
+        with pytest.raises(VerificationError):
+            scheme.require_valid("x", "v", Timestamp(1, 0), signature)
+
     def test_require_valid(self):
         scheme = SignatureScheme(b"writer-key")
         ts = Timestamp(1, 0)

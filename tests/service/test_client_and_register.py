@@ -12,7 +12,7 @@ from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.protocol.timestamps import Timestamp
-from repro.service.client import AsyncQuorumClient
+from repro.service.client import AsyncQuorumClient, ReadRpcResult
 from repro.service.node import ServiceNode
 from repro.service.register import (
     AsyncDisseminationRegister,
@@ -22,7 +22,7 @@ from repro.service.register import (
 )
 from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import ScenarioSpec
-from repro.simulation.server import ByzantineForgeBehavior
+from repro.simulation.server import ByzantineForgeBehavior, StoredValue
 
 PLAIN = UniformEpsilonIntersectingSystem(25, 8)
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
@@ -177,6 +177,61 @@ class TestAsyncRegisters:
 
         rejected = run(scenario())
         assert rejected > 0
+
+    def test_dissemination_verdicts_are_shared_only_by_identical_encodings(self):
+        """Each distinct record is verified once per read, but values that
+        compare equal while signing differently never share a verdict."""
+        _, client = deploy(DISSEMINATION)
+        register = AsyncDisseminationRegister(client)
+        scheme = register.signatures
+        ts = Timestamp(3, 0)
+        calls = []
+        plain_verify = scheme.verify
+
+        def counting_verify(*args):
+            calls.append(args)
+            return plain_verify(*args)
+
+        scheme.verify = counting_verify
+        cases = [
+            (1, [True, 1.0, 1]),
+            (True, [1, 1.0, True]),
+            (1.0, [1, True, 1.0]),
+            ([1, 2], [(1, 2), [1, 2]]),
+            ((1, 2), [[1, 2], (1, 2)]),
+            ({"a": 1, "b": 2}, [{"b": 2, "a": 1}, {"a": 1, "b": 2}]),
+        ]
+        for signed, lookalikes in cases:
+            signature = scheme.sign("x", signed, ts)
+            records = [signed, *lookalikes, signed]
+            replies = {
+                server: StoredValue(value, ts, signature)
+                for server, value in enumerate(records)
+            }
+            # A forged timestamp equal to ts but signing differently.
+            replies[len(records)] = StoredValue(signed, Timestamp(True, 0), signature)
+            result = ReadRpcResult(
+                quorum=frozenset(replies), replies=replies, responders=len(replies),
+                retried=False, probes_used=0,
+            )
+            verified = register._filter(result)
+            expected = {
+                server
+                for server, stored in replies.items()
+                if plain_verify("x", stored.value, stored.timestamp, stored.signature)
+            }
+            assert set(verified) == expected, (signed, lookalikes)
+            assert 0 in expected
+        # Eight echoes of one honest str record cost a single verify.
+        calls.clear()
+        signature = scheme.sign("x", "s", ts)
+        replies = {server: StoredValue("s", ts, signature) for server in range(8)}
+        result = ReadRpcResult(
+            quorum=frozenset(replies), replies=replies, responders=8,
+            retried=False, probes_used=0,
+        )
+        assert len(register._filter(result)) == 8
+        assert len(calls) == 1
 
     def test_masking_register_requires_a_threshold_system(self):
         _, client = deploy(PLAIN)

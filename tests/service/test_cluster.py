@@ -54,7 +54,7 @@ def wait_for_exit(deployment, timeout: float = 10.0) -> None:
 class TestClusterLifecycle:
     def test_normal_exit_leaves_no_orphans(self):
         async def main():
-            cluster = ClusterDeployment(scenario(), shards=2, codec="binary", seed=7)
+            cluster = ClusterDeployment(scenario(), shards=2, seed=7)
             async with cluster:
                 pids = list(cluster.pids)
                 assert len(pids) == 2
@@ -108,7 +108,7 @@ class TestClusterLifecycle:
         serving, and teardown still leaves nothing behind."""
 
         async def main():
-            cluster = ClusterDeployment(scenario(), shards=2, codec="binary", seed=17)
+            cluster = ClusterDeployment(scenario(), shards=2, seed=17)
             await cluster.start()
             pids = list(cluster.pids)
             os.kill(pids[0], signal.SIGKILL)
@@ -154,7 +154,6 @@ class TestClusterFacade:
             deployment = (
                 Deployment.builder(scenario())
                 .processes(1)
-                .codec("binary")
                 .shards(2)
                 .deadline(2.0)
                 .seed(5)
@@ -180,9 +179,7 @@ class TestClusterFacade:
 
         assert_no_orphans(run(main()))
 
-    def test_codec_validation(self):
-        with pytest.raises(ConfigurationError):
-            Deployment.builder(scenario()).codec("msgpack")
+    def test_builder_validation(self):
         with pytest.raises(ConfigurationError):
             Deployment.builder(scenario()).processes(-1)
 
@@ -204,7 +201,6 @@ class TestPartitionLoad:
             transport="tcp",
             shards=2,
             keys=keys,
-            codec="binary",
             processes=processes,
             seed=3,
         )

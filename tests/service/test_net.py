@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core.dissemination import ProbabilisticDisseminationSystem
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import RpcTimeoutError, ServiceError
 from repro.protocol.timestamps import Timestamp
@@ -19,8 +20,13 @@ from repro.service.net import (
     remote_nodes,
 )
 from repro.service.node import ServiceNode
-from repro.service.register import AsyncMaskingRegister
-from repro.simulation.server import ByzantineForgeBehavior
+from repro.service.register import AsyncDisseminationRegister, AsyncMaskingRegister
+from repro.service.wire import encode_frame, encode_request_frame, request_tail
+from repro.simulation.server import (
+    ByzantineForgeBehavior,
+    CorrectBehavior,
+    StoredValue,
+)
 
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
@@ -205,6 +211,53 @@ class TestFailureSemantics:
         with pytest.raises(ServiceError):
             TcpTransport(("127.0.0.1", 1), connections=0)
 
+    def test_legacy_text_frame_closes_only_its_own_connection(self):
+        """A peer speaking the pre-versioned text codec loses its own
+        connection; every other connection keeps being served."""
+
+        async def exchange(reader, writer, frame):
+            writer.write(frame)
+            await writer.drain()
+            return await asyncio.wait_for(reader.read(65536), 1.0)
+
+        async def scenario():
+            nodes, server, transport = await deploy(n=3)
+            host, port = server.address
+            good = await asyncio.open_connection(host, port)
+            legacy = await asyncio.open_connection(host, port)
+            ping = encode_request_frame(1, 0, request_tail("ping", ()))
+            assert await exchange(*good, ping)  # served
+            body = b'{"t":["req",1,0,"ping",{"t":[]}]}'
+            assert await exchange(*legacy, len(body).to_bytes(4, "big") + body) == b""
+            assert await exchange(*good, ping)  # still served
+            # A fresh transport connects and is served alongside.
+            assert await transport.call(RemoteNode(2), "ping", timeout=1.0) == ("ok", True)
+            assert server.requests_handled == 3
+            for _, writer in (good, legacy):
+                writer.close()
+            await teardown(server, transport)
+
+        run(scenario())
+
+    def test_every_server_accepts_both_envelope_lengths(self):
+        async def scenario():
+            nodes, server, transport = await deploy(n=2)
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(
+                encode_frame(("req", 1, 0, "ping", ()))
+                + encode_frame(("req", 2, 1, "ping", (), 77))
+            )
+            await writer.drain()
+            received = b""
+            while len(received) < 2 * len(encode_frame(("rsp", 1, ("ok", True)))):
+                received += await asyncio.wait_for(reader.read(65536), 1.0)
+            assert server.requests_handled == 2
+            assert server.traced_requests == 1 and server.last_trace_id == 77
+            writer.close()
+            await teardown(server, transport)
+
+        run(scenario())
+
 
 class TestTcpDispatcher:
     def test_fan_out_matches_per_rpc_replies(self):
@@ -314,6 +367,42 @@ class TestQuorumClientOverTcp:
             outcome = await register.read()
             assert outcome.value in ("durable", None)
             assert client.probe_fallbacks >= 1
+            await teardown(server, transport)
+
+        run(scenario())
+
+
+class _StrSignatureBehavior(CorrectBehavior):
+    """Serves the honest record with a non-bytes signature attached."""
+
+    def on_read(self, server, variable):
+        stored = super().on_read(server, variable)
+        if stored is None:
+            return None
+        return StoredValue(stored.value, stored.timestamp, signature="forged")
+
+
+class TestNonBytesSignatures:
+    def test_str_signature_reply_is_rejected_and_the_read_completes(self):
+        async def scenario():
+            nodes, server, transport = await deploy()
+            system = ProbabilisticDisseminationSystem(25, 8, 5)
+            for victim in range(5):
+                nodes[victim].set_behavior(_StrSignatureBehavior())
+            client = AsyncQuorumClient(
+                system,
+                remote_nodes(25),
+                transport,
+                deadline=1.0,
+                rng=random.Random(9),
+                dispatcher=TcpDispatcher(transport),
+            )
+            register = AsyncDisseminationRegister(client)
+            await register.write("signed")
+            for _ in range(20):
+                outcome = await register.read()
+                assert register.classify_read(outcome) in ("fresh", "stale", "empty")
+            assert register.forged_replies_rejected > 0
             await teardown(server, transport)
 
         run(scenario())

