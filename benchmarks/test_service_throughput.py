@@ -5,11 +5,8 @@ Five workloads exercise the asyncio service layer (`repro.service`):
 * **batched throughput** — 1,000 concurrent in-process clients reading a
   masking register on a loss-free transport through the coalescing fast
   path (`repro.service.dispatch`).  Acceptance floor: **12,000 ops/s**, i.e.
-  ≥3× the PR 3 per-RPC baseline (~4.3k ops/s), with identical safety
-  accounting.
-* **per-RPC throughput** — the same workload on the original
-  coroutine-per-RPC path, which stays the semantic oracle of the fast path.
-  Floor: 2,000 ops/s (the PR 3 bar).
+  ≥3× the ~4.3k ops/s the first (coroutine-per-RPC) service layer
+  sustained, with identical safety accounting.
 * **TCP throughput** — 200 concurrent clients over *real localhost
   sockets* (`repro.service.net`: length-prefixed struct-packed frames,
   per-connection writer tasks, the op-level `TcpDispatcher`).  Acceptance
@@ -33,8 +30,8 @@ Five workloads exercise the asyncio service layer (`repro.service`):
   must cut the probe-fallback rounds by at least **5×** at equal workload
   (the PR 9 bar; reduction and zero-fabrication always gate, wall-clock
   never does).
-* **fault-injection soak** — the `serve` experiment's configuration in
-  *both* dispatch modes: colluding forgers at the system's declared
+* **fault-injection soak** — the `serve` experiment's configuration:
+  colluding forgers at the system's declared
   tolerance (``b = 3`` below the read threshold ``k = 5``), 1% message
   drops, latency + jitter, and rolling live crash/recovery churn.  Safety
   expectation: *zero* ``fabricated`` outcomes — with ``k > b`` a fabricated
@@ -67,11 +64,8 @@ from repro.simulation.failures import FailureModel
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
 #: Acceptance floor for the batched-dispatch 1k-client in-process run:
-#: three times the PR 3 per-RPC baseline.
+#: three times the first service layer's coroutine-per-RPC baseline.
 MIN_BATCHED_OPS_PER_SECOND = 12_000.0
-
-#: Acceptance floor for the per-RPC oracle path (the PR 3 bar).
-MIN_PER_RPC_OPS_PER_SECOND = 2_000.0
 
 #: Acceptance floor for the TCP path at 200 localhost clients (ISSUE 5).
 MIN_TCP_OPS_PER_SECOND = 2_000.0
@@ -104,14 +98,13 @@ MAX_STALE_READS = 5
 STRICT_TIMING = os.environ.get("CI", "").lower() not in ("true", "1")
 
 
-def throughput_spec(dispatch: str) -> ServiceLoadSpec:
+def throughput_spec() -> ServiceLoadSpec:
     return ServiceLoadSpec(
         scenario=ScenarioSpec(system=ProbabilisticMaskingSystem(25, 10, 3)),
         clients=1_000,
         reads_per_client=3,
         writes=50,
-        rpc_timeout=1.0,
-        dispatch=dispatch,
+        deadline=1.0,
         seed=11,
     )
 
@@ -135,19 +128,19 @@ def quiescent_gc():
         gc.unfreeze()
 
 
-def run_throughput(dispatch: str, floor: float):
+def run_throughput(floor: float):
     """Run the 1k-client workload; retries absorb scheduler noise.
 
     Safety is checked on *every* attempt; the floor is asserted against the
     best attempt (standard best-of-N practice for wall-clock floors).
     """
     with quiescent_gc():
-        report = run_service_load(throughput_spec(dispatch))
+        report = run_service_load(throughput_spec())
         check_healthy_run(report)
         for _ in range(2):
             if not (STRICT_TIMING and report.throughput < floor):
                 break
-            retry = run_service_load(throughput_spec(dispatch))
+            retry = run_service_load(throughput_spec())
             check_healthy_run(retry)
             if retry.throughput > report.throughput:
                 report = retry
@@ -166,7 +159,6 @@ def machine_fields(spec) -> dict:
 def throughput_payload(report, floor: float) -> dict:
     return {
         **machine_fields(report.spec),
-        "dispatch": report.spec.dispatch,
         "clients": report.spec.clients,
         "ops_completed": report.operations,
         "ops_per_second": round(report.throughput, 1),
@@ -184,7 +176,7 @@ def throughput_payload(report, floor: float) -> dict:
 
 
 def check_healthy_run(report) -> None:
-    """The safety assertions shared by both dispatch modes (always gate)."""
+    """The safety assertions of the in-process throughput run (always gate)."""
     assert report.reads_completed == 3_000
     assert report.writes_completed == 50
     assert report.violations == 0
@@ -198,7 +190,7 @@ def check_healthy_run(report) -> None:
 
 
 def test_batched_dispatch_throughput_1k_clients(report_sink, bench_record):
-    report = run_throughput("batched", MIN_BATCHED_OPS_PER_SECOND)
+    report = run_throughput(MIN_BATCHED_OPS_PER_SECOND)
     # Coalescing must actually coalesce: far fewer delivery events than RPCs.
     assert 0 < report.dispatch_flushes < report.rpc_calls / 10
     bench_record(
@@ -213,21 +205,6 @@ def test_batched_dispatch_throughput_1k_clients(report_sink, bench_record):
     report_sink(report.render())
 
 
-def test_per_rpc_throughput_still_works(report_sink, bench_record):
-    report = run_throughput("per-rpc", MIN_PER_RPC_OPS_PER_SECOND)
-    assert report.dispatch_flushes == 0
-    bench_record(
-        "service_throughput_per_rpc",
-        throughput_payload(report, MIN_PER_RPC_OPS_PER_SECOND),
-    )
-    if STRICT_TIMING:
-        assert report.throughput >= MIN_PER_RPC_OPS_PER_SECOND, (
-            f"per-RPC service sustained only {report.throughput:,.0f} ops/s "
-            f"with 1k concurrent clients (floor: {MIN_PER_RPC_OPS_PER_SECOND:,.0f})"
-        )
-    report_sink(report.render())
-
-
 def tcp_spec(
     shards: int = 1,
     keys: int = 1,
@@ -236,7 +213,7 @@ def tcp_spec(
 ) -> ServiceLoadSpec:
     """200 localhost clients over real sockets; healthy deployment.
 
-    ``rpc_timeout`` is generous because TCP deadlines are wall-clock: the
+    ``deadline`` is generous because TCP deadlines are wall-clock: the
     floor measures throughput, and spurious deadline expiries under
     scheduler noise would deflate it artificially.
     """
@@ -245,7 +222,7 @@ def tcp_spec(
         clients=200,
         reads_per_client=5,
         writes=max(20, keys),
-        rpc_timeout=2.0,
+        deadline=2.0,
         transport="tcp",
         shards=shards,
         keys=keys,
@@ -517,10 +494,8 @@ def test_anti_entropy_kills_the_probe_fallback_round_under_churn(
     )
 
 
-def run_soak(dispatch: str):
-    spec = serve_load_spec(
-        clients=150, reads_per_client=4, writes=15, seed=23, dispatch=dispatch
-    )
+def run_soak():
+    spec = serve_load_spec(clients=150, reads_per_client=4, writes=15, seed=23)
     # The scenario's threshold strictly exceeds the forger count, making the
     # zero-fabrication assertion structural rather than statistical.
     assert spec.scenario.system.read_threshold > spec.scenario.failure_model.count
@@ -531,7 +506,7 @@ def check_soak(spec, report) -> None:
     assert report.reads_completed == 600
     assert report.violations == 0, (
         f"{report.violations} fabricated reads were accepted under "
-        f"{spec.scenario.failure_model.describe()} with dispatch={spec.dispatch}"
+        f"{spec.scenario.failure_model.describe()}"
     )
     # The soak must actually have exercised the failure paths it claims to:
     # dropped messages, timed-out RPCs, live churn and probe-based repair.
@@ -546,14 +521,13 @@ def check_soak(spec, report) -> None:
 def test_fault_injection_soak_accepts_no_fabricated_reads_batched(
     report_sink, bench_record
 ):
-    spec, report = run_soak("batched")
+    spec, report = run_soak()
     check_soak(spec, report)
     assert report.dispatch_flushes > 0
     bench_record(
         "service_soak_batched",
         {
             **machine_fields(spec),
-            "dispatch": "batched",
             "ops_per_second": round(report.throughput, 1),
             "fabricated_accepted_reads": report.violations,
             "fresh_fraction": round(report.fresh_fraction, 4),
@@ -565,8 +539,3 @@ def test_fault_injection_soak_accepts_no_fabricated_reads_batched(
     )
     report_sink(render_serve(report))
 
-
-def test_fault_injection_soak_accepts_no_fabricated_reads_per_rpc(report_sink):
-    spec, report = run_soak("per-rpc")
-    check_soak(spec, report)
-    report_sink(render_serve(report))

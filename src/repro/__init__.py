@@ -51,7 +51,6 @@ from repro.exceptions import (
     QuorumPropertyError,
     QuorumUnavailableError,
     ReproError,
-    RpcTimeoutError,
     ServiceError,
     SimulationError,
     StrategyError,
@@ -122,6 +121,5 @@ __all__ = [
     "VerificationError",
     "SimulationError",
     "ServiceError",
-    "RpcTimeoutError",
     "ExperimentError",
 ]

@@ -27,13 +27,11 @@ suite pins down: registers route through
 :class:`~repro.service.sharding.ShardedAsyncRegisterClient` (the scenario's
 protocol per key, shared deterministic selection), and lock handles are
 :class:`~repro.apps.mutex.AsyncQuorumMutex` over the same quorum clients.
-The builder's knob names (``deadline``, ``seed``, ``dispatch``,
-``selection``, ``processes``, ``anti_entropy``) are the
-canonical spellings used across
+The builder's knob names (``deadline``, ``seed``, ``selection``,
+``processes``, ``anti_entropy``) are the spellings used across
 :class:`~repro.service.client.AsyncQuorumClient`,
 :class:`~repro.service.sharding.ShardedDeployment` and
-:class:`~repro.service.load.ServiceLoadSpec`; the pre-facade aliases
-(``timeout``, ``rpc_timeout``) keep working with a ``DeprecationWarning``.
+:class:`~repro.service.load.ServiceLoadSpec`.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import Any, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.service.client import DEFAULT_QUORUM_POOL, SELECTION_MODES
-from repro.service.dispatch import DISPATCH_MODES
 from repro.service.sharding import (
     TRANSPORT_MODES,
     ShardedAsyncRegisterClient,
@@ -73,7 +70,6 @@ class DeploymentBuilder:
         self._shards = 1
         self._deadline: Optional[float] = 0.05
         self._seed: Optional[int] = None
-        self._dispatch = "batched"
         self._selection = "strategy"
         self._latency = 0.0
         self._jitter = 0.0
@@ -100,7 +96,7 @@ class DeploymentBuilder:
         return self
 
     def deadline(self, seconds: Optional[float]) -> "DeploymentBuilder":
-        """Per-RPC deadline for every client built by this deployment."""
+        """Operation deadline for every client built by this deployment."""
         if seconds is not None and seconds <= 0:
             raise ConfigurationError(f"the deadline must be positive, got {seconds}")
         self._deadline = seconds
@@ -109,15 +105,6 @@ class DeploymentBuilder:
     def seed(self, seed: int) -> "DeploymentBuilder":
         """Root seed: failure sampling, transport noise and client RNGs."""
         self._seed = int(seed)
-        return self
-
-    def dispatch(self, mode: str) -> "DeploymentBuilder":
-        """``"batched"`` (coalescing fast path) or ``"per-rpc"`` (the oracle)."""
-        if mode not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch mode {mode!r}; choose from {DISPATCH_MODES}"
-            )
-        self._dispatch = mode
         return self
 
     def selection(self, mode: str) -> "DeploymentBuilder":
@@ -248,7 +235,6 @@ class Deployment:
         self._rng = random.Random(builder._seed)
         self.scenario = builder._scenario
         self.deadline = builder._deadline
-        self.dispatch = builder._dispatch
         self.selection = builder._selection
         self.quorum_pool = builder._quorum_pool
         self.processes = builder._processes
@@ -264,7 +250,6 @@ class Deployment:
                 latency=builder._latency,
                 jitter=builder._jitter,
                 drop_probability=builder._drop_probability,
-                dispatch=builder._dispatch,
                 latency_tracking=builder._selection == "latency-aware",
                 rng=self._rng,
                 anti_entropy=builder._anti_entropy,
@@ -277,7 +262,6 @@ class Deployment:
                 latency=builder._latency,
                 jitter=builder._jitter,
                 drop_probability=builder._drop_probability,
-                dispatch=builder._dispatch,
                 latency_tracking=builder._selection == "latency-aware",
                 rng=self._rng,
                 anti_entropy=builder._anti_entropy,

@@ -63,10 +63,6 @@ class ServiceError(ReproError):
     """The asyncio service layer failed outside the protocol's own semantics."""
 
 
-class RpcTimeoutError(ServiceError):
-    """A single RPC exceeded its deadline (dropped message or silent server)."""
-
-
 class WireFormatError(ServiceError):
     """A socket-transport frame was malformed (bad tag, oversized, or truncated)."""
 

@@ -69,7 +69,6 @@ from repro.experiments.serve import (
 )
 from repro.rngs import seed_sequential
 from repro.service.client import SELECTION_MODES
-from repro.service.dispatch import DISPATCH_MODES
 from repro.service.sharding import TRANSPORT_MODES
 from repro.simulation.scenario import REGISTER_KINDS
 
@@ -220,7 +219,6 @@ def run_experiment(
     register_kind: str = "auto",
     clients: int = DEFAULT_CLIENTS,
     ops: int = DEFAULT_READS_PER_CLIENT,
-    dispatch: str = "batched",
     selection: str = "strategy",
     transport: str = "inproc",
     shards: int = 1,
@@ -278,7 +276,6 @@ def run_experiment(
                 clients=clients,
                 reads_per_client=ops,
                 seed=seed,
-                dispatch=dispatch,
                 selection=selection,
                 transport=transport,
                 shards=shards,
@@ -376,13 +373,6 @@ def main(argv: List[str] = None) -> int:
         default=DEFAULT_READS_PER_CLIENT,
         help="reads each serve client issues "
         f"(default: {DEFAULT_READS_PER_CLIENT})",
-    )
-    parser.add_argument(
-        "--dispatch",
-        default="batched",
-        choices=DISPATCH_MODES,
-        help="serve RPC path: coalesced 'batched' fast path or the original "
-        "'per-rpc' oracle (default: batched)",
     )
     parser.add_argument(
         "--selection",
@@ -524,7 +514,6 @@ def main(argv: List[str] = None) -> int:
             register_kind=args.register_kind,
             clients=args.clients,
             ops=args.ops,
-            dispatch=args.dispatch,
             selection=args.selection,
             transport=args.transport,
             shards=args.shards,

@@ -73,7 +73,6 @@ def serve_load_spec(
     writes: int = DEFAULT_WRITES,
     seed: int = 0,
     scenario: ScenarioSpec = None,
-    dispatch: str = "batched",
     selection: str = "strategy",
     transport: str = "inproc",
     shards: int = 1,
@@ -88,9 +87,8 @@ def serve_load_spec(
 ) -> ServiceLoadSpec:
     """The full soak configuration: forgers + drops + latency + live churn.
 
-    ``dispatch`` picks the RPC path (``batched`` coalesced fast path, the
-    default, or the original ``per-rpc`` oracle); ``selection`` picks the
-    quorum-selection mode.  ``transport`` moves the same soak between the
+    ``selection`` picks the quorum-selection mode.  ``transport`` moves the
+    same soak between the
     simulated in-process message layer and real localhost TCP sockets;
     ``shards``/``keys``/``key_skew`` spread it over a multi-register
     sharded deployment (each shard its own replica group and failure plan).
@@ -154,7 +152,6 @@ def serve_load_spec(
         shards=shards,
         keys=keys,
         key_skew=key_skew,
-        dispatch=dispatch,
         selection=selection,
         writers=writers,
         contention=contention,
@@ -171,7 +168,6 @@ def run_serve(
     reads_per_client: int = DEFAULT_READS_PER_CLIENT,
     writes: int = DEFAULT_WRITES,
     seed: int = 0,
-    dispatch: str = "batched",
     selection: str = "strategy",
     transport: str = "inproc",
     shards: int = 1,
@@ -226,7 +222,6 @@ def run_serve(
             reads_per_client=reads_per_client,
             writes=max(writes, keys),
             seed=seed,
-            dispatch=dispatch,
             selection=selection,
             transport=transport,
             shards=shards,

@@ -3,21 +3,21 @@
 Everything below :mod:`repro.simulation` evaluates the paper's protocols in
 *sequentialised* Monte-Carlo trials.  This subpackage is the repo's first
 layer that services genuinely concurrent traffic: replica nodes on an
-asyncio event loop, clients that fan RPCs out in parallel under per-RPC
-deadlines, and a load harness measuring throughput, latency percentiles and
-safety under live fault injection.
+asyncio event loop, clients that fan each operation out to a whole quorum
+at once under one operation deadline, and a load harness measuring
+throughput, latency percentiles and safety under live fault injection.
 
 * :mod:`repro.service.node` — replica nodes wrapping the simulation's
   server behaviours (correct / crashed / silent / replay / forge), with
   live behaviour swapping for fault injection;
-* :mod:`repro.service.transport` — message passing with latency, jitter,
-  drops and deadline enforcement;
+* :mod:`repro.service.transport` — the network conditions (latency,
+  jitter, drops), their random source and the failure counters;
 * :mod:`repro.service.client` — the concurrent quorum client, falling back
   to :mod:`repro.quorum.probe` strategies to re-assemble a live quorum on
   partial failure;
-* :mod:`repro.service.dispatch` — the batched fast path: one coalesced
-  delivery event per (node, tick) and one shared deadline per operation,
-  instead of a coroutine + timer per RPC;
+* :mod:`repro.service.dispatch` — in-process dispatch, every client's way
+  to its replicas: one coalesced delivery event per (node, tick) and one
+  shared deadline per operation;
 * :mod:`repro.service.stats` — per-server EWMA latency tracking backing the
   opt-in (ε-voiding, hence guarded) latency-aware quorum selection;
 * :mod:`repro.service.register` — async frontends for the plain (§3.1),
@@ -27,10 +27,11 @@ safety under live fault injection.
   struct-packed frame codec (round-trip safe for every protocol payload,
   resilient to arbitrary chunk boundaries, versioned by its magic byte);
 * :mod:`repro.service.net` — the *real* transport: per-shard
-  :class:`TcpServiceServer` replica groups behind localhost sockets, a
-  :class:`TcpTransport` implementing the same call/counter interface with
-  wall-clock deadlines, per-connection writer tasks and reconnect-on-drop,
-  and the op-level :class:`TcpDispatcher` fast path;
+  :class:`TcpServiceServer` replica groups behind localhost sockets that
+  refuse malformed requests at the wire boundary, a :class:`TcpTransport`
+  with the same conditions and counters plus per-connection writer tasks
+  and reconnect-on-drop, and the op-level :class:`TcpDispatcher` that
+  fans operations out over it under wall-clock deadlines;
 * :mod:`repro.service.sharding` — multi-register scale-out:
   :func:`shard_for_key` stable routing, :class:`ShardedDeployment`
   (independent replica group + transport + dispatcher per shard, either
@@ -47,7 +48,7 @@ from repro.service.client import (
     ReadRpcResult,
     WriteRpcResult,
 )
-from repro.service.dispatch import DISPATCH_MODES, BatchedDispatcher
+from repro.service.dispatch import BatchedDispatcher
 from repro.service.load import (
     FaultInjectionSpec,
     ServiceLoadReport,
@@ -59,13 +60,7 @@ from repro.service.load import (
     run_service_load,
     serve_load,
 )
-from repro.service.net import (
-    RemoteNode,
-    TcpDispatcher,
-    TcpServiceServer,
-    TcpTransport,
-    remote_nodes,
-)
+from repro.service.net import TcpDispatcher, TcpServiceServer, TcpTransport
 from repro.service.sharding import (
     TRANSPORT_MODES,
     ShardedAsyncRegisterClient,
@@ -88,8 +83,6 @@ __all__ = [
     "TcpTransport",
     "TcpServiceServer",
     "TcpDispatcher",
-    "RemoteNode",
-    "remote_nodes",
     "FrameDecoder",
     "encode_frame",
     "dump",
@@ -104,7 +97,6 @@ __all__ = [
     "AsyncQuorumClient",
     "BatchedDispatcher",
     "EwmaLatencyTracker",
-    "DISPATCH_MODES",
     "SELECTION_MODES",
     "active_loop_driver",
     "ReadRpcResult",

@@ -2,9 +2,12 @@
 
 A client performs one protocol operation (read or write) by sampling a
 quorum through the system's access strategy — the paper stresses the
-strategy must be followed for the ε guarantee to hold — and issuing every
-per-server RPC *concurrently* with a per-RPC deadline.  Under partial
-failure (some RPCs time out) the client falls back to the adaptive probing
+strategy must be followed for the ε guarantee to hold — and handing the
+whole quorum to its dispatcher as one fan-out under one operation deadline:
+the in-process :class:`~repro.service.dispatch.BatchedDispatcher` or, over
+sockets, the :class:`~repro.service.net.TcpDispatcher`.  The dispatcher is
+the client's only way to reach replicas.  Under partial failure (some RPCs
+time out) the client falls back to the adaptive probing
 of :mod:`repro.quorum.probe`: it pings the whole universe concurrently,
 feeds the answers to a probe strategy as the liveness oracle, and re-issues
 the operation against the live quorum the strategy assembles.  Uniform
@@ -18,19 +21,20 @@ sets: a merged super-quorum would not be a strategy-drawn quorum, and for
 the masking protocol it would inflate ``|Q ∩ B|`` beyond what Lemma 5.7
 accounts for.
 
-Two orthogonal fast-path knobs:
+Replies are taken as the Byzantine-server model allows them to be: any
+payload at all.  A read reply that is not a
+:class:`~repro.simulation.server.StoredValue` timestamped with a
+:class:`~repro.protocol.timestamps.Timestamp` (or ``None``) counts as
+value-less, exactly like an explicit "I store nothing", so no reply a faulty
+server sends can crash a read.
 
-* **batched dispatch** (default-off: no dispatcher) — pass a shared
-  :class:`~repro.service.dispatch.BatchedDispatcher` and every fan-out is
-  coalesced per destination node instead of spawning one coroutine + timer
-  per RPC;
-* **quorum pooling** (default-on: blocks of
-  :data:`DEFAULT_QUORUM_POOL`; pass ``quorum_pool=0`` for per-operation
-  draws) — quorums are pre-sampled in blocks through
-  :meth:`~repro.core.probabilistic.ProbabilisticQuorumSystem.sample_quorum_block`
-  (vectorised NumPy draw).  Every pooled quorum is an independent strategy
-  draw, so pooling changes *when* the sampling cost is paid, never the
-  distribution.
+**Quorum pooling** (default-on: blocks of :data:`DEFAULT_QUORUM_POOL`; pass
+``quorum_pool=0`` for per-operation draws) pre-samples quorums in blocks
+through
+:meth:`~repro.core.probabilistic.ProbabilisticQuorumSystem.sample_quorum_block`
+(vectorised NumPy draw).  Every pooled quorum is an independent strategy
+draw, so pooling changes *when* the sampling cost is paid, never the
+distribution.
 
 ``selection="latency-aware"`` additionally biases quorum choice toward fast
 replicas via an EWMA tracker (:mod:`repro.service.stats`).  That mode
@@ -46,16 +50,12 @@ import asyncio
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
-from repro.exceptions import (
-    ConfigurationError,
-    QuorumUnavailableError,
-    RpcTimeoutError,
-)
+from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.quorum.probe import (
     GreedyProbeStrategy,
     ProbeResult,
@@ -63,13 +63,15 @@ from repro.quorum.probe import (
     oracle_from_alive_set,
 )
 from repro.obs.trace import QuorumTrace, Tracer
+from repro.protocol.timestamps import Timestamp
 from repro.rngs import fresh_rng
-from repro.service.dispatch import BatchedDispatcher
-from repro.service.node import ServiceNode
 from repro.service.stats import EwmaLatencyTracker
-from repro.service.transport import AsyncTransport
 from repro.simulation.server import StoredValue
 from repro.types import Quorum, ServerId
+
+if TYPE_CHECKING:
+    from repro.service.dispatch import BatchedDispatcher
+    from repro.service.net import TcpDispatcher
 
 #: The two quorum-selection modes; only ``strategy`` preserves ε.
 SELECTION_MODES = ("strategy", "latency-aware")
@@ -77,35 +79,30 @@ SELECTION_MODES = ("strategy", "latency-aware")
 #: Quorums pre-sampled per pool refill (one vectorised block draw).
 DEFAULT_QUORUM_POOL = 32
 
-#: Sentinel distinguishing "not passed" from every meaningful value of a
-#: deprecated keyword alias (``None`` disables a deadline, so it cannot be
-#: the sentinel).
-UNSET = object()
-
-
-def resolve_deprecated_alias(value, legacy_value, canonical: str, legacy: str):
-    """Resolve a renamed keyword, warning when the legacy spelling is used.
-
-    The service layer's constructors all call their per-RPC deadline
-    ``deadline`` (and their root randomness ``seed``); the pre-facade
-    spellings (``timeout``, ``rpc_timeout``) keep working through this
-    shim so existing deployments migrate on their own schedule.
-    """
-    if legacy_value is UNSET:
-        return value
-    warnings.warn(
-        f"the {legacy!r} keyword is deprecated; pass {canonical!r} instead "
-        f"(same meaning, the repro.api facade spelling)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return legacy_value
-
 EPSILON_CAVEAT = (
     "latency-aware quorum selection deviates from the access strategy: the "
     "ε guarantee (and the masking protocol's |Q ∩ B| accounting) holds only "
     "for strategy-drawn quorums"
 )
+
+
+def _value_or_none(responses: Dict[ServerId, Any]) -> Dict[ServerId, Any]:
+    """Map every read reply that is not a well-formed record to ``None``.
+
+    A Byzantine server may answer a read with any payload at all.  Only a
+    :class:`~repro.simulation.server.StoredValue` whose timestamp is a
+    :class:`~repro.protocol.timestamps.Timestamp` (or ``None``) carries a
+    value; anything else is value-less, like an explicit "I store nothing"
+    — the server still counts as a responder.  Rewrites ``responses`` in
+    place and returns it.
+    """
+    for server, stored in responses.items():
+        if stored is not None and not (
+            isinstance(stored, StoredValue)
+            and (stored.timestamp is None or isinstance(stored.timestamp, Timestamp))
+        ):
+            responses[server] = None
+    return responses
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,30 +140,24 @@ class ReadRpcResult:
 
 
 class AsyncQuorumClient:
-    """Concurrent quorum RPCs over a set of service nodes.
+    """Concurrent quorum operations through a shared dispatcher.
 
     Parameters
     ----------
     system:
         The probabilistic quorum system; quorums are drawn from its access
         strategy and repair uses its structure.
-    nodes:
-        The ``n`` replica nodes, indexed by server id.
-    transport:
-        The shared :class:`~repro.service.transport.AsyncTransport`.
+    dispatcher:
+        The deployment's shared dispatcher — a
+        :class:`~repro.service.dispatch.BatchedDispatcher` in process or a
+        :class:`~repro.service.net.TcpDispatcher` over sockets.
     deadline:
-        Per-RPC deadline in event-loop seconds (``None`` disables it).
-        The pre-facade spelling ``timeout=`` is still accepted with a
-        :class:`DeprecationWarning`.
+        Operation deadline in event-loop seconds (``None`` disables it).
     rng:
         Random source for quorum sampling and probe order.
     repair:
         Whether partial failures trigger the probe fallback (on by default;
         the load harness counts how often it fires).
-    dispatcher:
-        Optional shared :class:`~repro.service.dispatch.BatchedDispatcher`;
-        when given, fan-outs coalesce per destination node instead of
-        spawning one coroutine per RPC.
     selection:
         ``"strategy"`` (default, ε-faithful) or ``"latency-aware"`` (biased
         toward fast replicas; warns, see the module docstring).
@@ -185,7 +176,7 @@ class AsyncQuorumClient:
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When set, sampled
         operations assemble a :class:`~repro.obs.trace.QuorumTrace` (quorum,
-        per-RPC spans, retry/probe accounting) attached to the RPC result.
+        one span per RPC, retry/probe accounting) attached to the RPC result.
         ``None`` (the default) keeps every per-operation trace branch off
         the hot path — tracing costs nothing when unused.
     client_id:
@@ -197,9 +188,7 @@ class AsyncQuorumClient:
     repair_budget:
         Lagging replicas one settled read may repair by piggybacking
         fire-and-forget repair payloads onto the dispatcher's coalescing
-        path (``0``, the default, disables piggybacked read-repair).  Only
-        effective with a dispatcher installed — the per-RPC path has no
-        delivery events for a repair to ride.
+        path (``0``, the default, disables piggybacked read-repair).
     lazy_fallback:
         Skip the read path's probe-fallback round when the partial reply
         set can already settle a value (at least ``read_threshold``
@@ -216,12 +205,10 @@ class AsyncQuorumClient:
     def __init__(
         self,
         system: ProbabilisticQuorumSystem,
-        nodes: Sequence[ServiceNode],
-        transport: AsyncTransport,
+        dispatcher: Union["BatchedDispatcher", "TcpDispatcher"],
         deadline: Optional[float] = 0.05,
         rng: Optional[random.Random] = None,
         repair: bool = True,
-        dispatcher: Optional[BatchedDispatcher] = None,
         selection: str = "strategy",
         tracker: Optional[EwmaLatencyTracker] = None,
         quorum_pool: int = DEFAULT_QUORUM_POOL,
@@ -231,12 +218,11 @@ class AsyncQuorumClient:
         shard: Optional[int] = None,
         repair_budget: int = 0,
         lazy_fallback: bool = False,
-        timeout: Optional[float] = UNSET,
     ) -> None:
-        deadline = resolve_deprecated_alias(deadline, timeout, "deadline", "timeout")
-        if len(nodes) != system.n:
+        if dispatcher is None:
             raise ConfigurationError(
-                f"the system is over {system.n} servers but {len(nodes)} nodes were given"
+                "a quorum client reaches its replicas through a dispatcher; "
+                "pass the deployment's BatchedDispatcher or TcpDispatcher"
             )
         if deadline is not None and deadline <= 0.0:
             raise ConfigurationError(f"the RPC deadline must be positive, got {deadline}")
@@ -253,8 +239,6 @@ class AsyncQuorumClient:
                 f"the repair budget must be non-negative, got {repair_budget}"
             )
         self.system = system
-        self.nodes = list(nodes)
-        self.transport = transport
         self.deadline = deadline
         self.rng = rng or fresh_rng()
         self.repair = bool(repair)
@@ -279,7 +263,7 @@ class AsyncQuorumClient:
                     "latency-aware selection needs a uniform construction with a "
                     f"fixed quorum_size; {system.describe()} has none"
                 )
-            if self.tracker is None and dispatcher is not None:
+            if self.tracker is None:
                 # Join the deployment's existing tracker rather than
                 # splitting observations across per-client instances.
                 self.tracker = dispatcher.tracker
@@ -287,7 +271,7 @@ class AsyncQuorumClient:
                 self.tracker = EwmaLatencyTracker(system.n)
             self._generator = np.random.default_rng(self.rng.randrange(2**63))
             warnings.warn(EPSILON_CAVEAT, UserWarning, stacklevel=2)
-        if self.tracker is not None and self.dispatcher is not None:
+        if self.tracker is not None:
             if self.dispatcher.tracker is None:
                 # First tracked client wires the shared dispatcher up; later
                 # clients must not silently swap the tracker the earlier
@@ -300,58 +284,7 @@ class AsyncQuorumClient:
                     "deployment"
                 )
 
-    @property
-    def timeout(self) -> Optional[float]:
-        """Deprecated spelling of :attr:`deadline` (kept for old callers)."""
-        return self.deadline
-
     # -- raw RPC fan-out ----------------------------------------------------------
-
-    async def _rpc(
-        self,
-        server: ServerId,
-        method: str,
-        *args: Any,
-        trace: Optional[QuorumTrace] = None,
-    ) -> Any:
-        """One RPC; returns the reply envelope or ``None`` on timeout."""
-        tracker = self.tracker
-        if tracker is None and trace is None:
-            try:
-                return await self.transport.call(
-                    self.nodes[server], method, *args, timeout=self.deadline
-                )
-            except RpcTimeoutError:
-                return None
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        try:
-            reply = await self.transport.call(
-                self.nodes[server],
-                method,
-                *args,
-                timeout=self.deadline,
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-        except RpcTimeoutError as error:
-            ended = loop.time()
-            if tracker is not None:
-                tracker.penalize(server, ended - started)
-            if trace is not None:
-                trace.record(
-                    server,
-                    method,
-                    started,
-                    ended,
-                    getattr(error, "disposition", "timeout"),
-                )
-            return None
-        ended = loop.time()
-        if tracker is not None:
-            tracker.observe(server, ended - started)
-        if trace is not None:
-            trace.record(server, method, started, ended, "ok")
-        return reply
 
     async def _fan_out(
         self,
@@ -360,26 +293,16 @@ class AsyncQuorumClient:
         *args: Any,
         trace: Optional[QuorumTrace] = None,
     ) -> Dict[ServerId, Any]:
-        """Issue one RPC per server; map responders to payloads.
+        """Issue one RPC per server as one dispatcher operation.
 
-        With a dispatcher installed the whole operation is one coalesced
-        fan-out (one pending-op future, per-node delivery events); without
-        one it is the per-RPC path (one coroutine + deadline per RPC).
+        Returns the ``{server: payload}`` map of the servers that answered
+        within the deadline.
         """
-        if self.dispatcher is not None:
-            if trace is not None:
-                return await self.dispatcher.fan_out(
-                    servers, method, args, self.deadline, trace=trace
-                )
-            return await self.dispatcher.fan_out(servers, method, args, self.deadline)
-        envelopes = await asyncio.gather(
-            *(self._rpc(server, method, *args, trace=trace) for server in servers)
-        )
-        return {
-            server: envelope[1]
-            for server, envelope in zip(servers, envelopes)
-            if envelope is not None
-        }
+        if trace is not None:
+            return await self.dispatcher.fan_out(
+                servers, method, args, self.deadline, trace=trace
+            )
+        return await self.dispatcher.fan_out(servers, method, args, self.deadline)
 
     # -- piggybacked read-repair --------------------------------------------------
 
@@ -398,17 +321,13 @@ class AsyncQuorumClient:
         a completed read is attached to the dispatcher's next coalesced
         delivery toward each listed server, so freshness propagates without
         a new RPC round.  Returns how many repairs were queued (0 without a
-        dispatcher, without a budget, or when the dispatcher has no
-        piggyback path).  The replica side adopts through its merge rule —
+        budget).  The replica side adopts through its merge rule —
         crashed and Byzantine servers refuse — so a repair can never make a
         copy *worse*, only newer.
         """
-        dispatcher = self.dispatcher
-        if dispatcher is None or self.repair_budget <= 0 or not servers:
+        if self.repair_budget <= 0 or not servers:
             return 0
-        enqueue = getattr(dispatcher, "enqueue_repair", None)
-        if enqueue is None:
-            return 0
+        enqueue = self.dispatcher.enqueue_repair
         targets = list(servers)[: self.repair_budget]
         for server in targets:
             enqueue(server, variable, value, timestamp, signature)
@@ -593,7 +512,9 @@ class AsyncQuorumClient:
         if trace is not None:
             trace.quorum = list(ordered)
             trace.selection = {"mode": self.selection}
-        responses = await self._fan_out(ordered, "read", variable, trace=trace)
+        responses = _value_or_none(
+            await self._fan_out(ordered, "read", variable, trace=trace)
+        )
         retried = False
         probes = 0
         if (
@@ -609,8 +530,10 @@ class AsyncQuorumClient:
                 quorum = probe.quorum
                 if trace is not None:
                     trace.quorum = sorted(probe.quorum)
-                responses = await self._fan_out(
-                    sorted(probe.quorum), "read", variable, trace=trace
+                responses = _value_or_none(
+                    await self._fan_out(
+                        sorted(probe.quorum), "read", variable, trace=trace
+                    )
                 )
         replies = {
             server: stored for server, stored in responses.items() if stored is not None

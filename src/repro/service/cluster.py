@@ -59,14 +59,8 @@ import numpy as np
 from repro.exceptions import ConfigurationError, QuorumUnavailableError, ServiceError
 from repro.protocol.classification import OUTCOME_LABELS
 from repro.protocol.variable import WriteOutcome
-from repro.service.dispatch import DISPATCH_MODES
 from repro.service.gossip import GOSSIP_SEED_SALT, GossipService, scenario_verifier
-from repro.service.net import (
-    TcpDispatcher,
-    TcpServiceServer,
-    TcpTransport,
-    remote_nodes,
-)
+from repro.service.net import TcpDispatcher, TcpServiceServer, TcpTransport
 from repro.service.node import ServiceNode
 from repro.service.sharding import ShardedClientAPI, _Shard, shard_for_key
 from repro.service.stats import EwmaLatencyTracker
@@ -186,7 +180,6 @@ class ClusterDeployment(ShardedClientAPI):
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
-        dispatch: str = "batched",
         latency_tracking: bool = False,
         rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
@@ -201,10 +194,6 @@ class ClusterDeployment(ShardedClientAPI):
             )
         if shards < 1:
             raise ConfigurationError(f"need at least one shard, got {shards}")
-        if dispatch not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch mode {dispatch!r}; choose from {DISPATCH_MODES}"
-            )
         if rng is None:
             rng = random.Random(seed) if seed is not None else random.Random()
         if anti_entropy is None:
@@ -223,7 +212,7 @@ class ClusterDeployment(ShardedClientAPI):
         self.scenario = scenario
         self.transport_mode = "tcp"
         self.latency_tracking = bool(latency_tracking)
-        self._knobs = (latency, jitter, drop_probability, dispatch)
+        self._knobs = (latency, jitter, drop_probability)
         self._host = host
         self._start_timeout = float(start_timeout)
         self._started = False
@@ -242,7 +231,6 @@ class ClusterDeployment(ShardedClientAPI):
             shard.plan = scenario.failure_model.sample_plan_for(n, rng)
             shard.transport_seed = rng.randrange(2**63)
             shard.tracker = EwmaLatencyTracker(n) if latency_tracking else None
-            shard.client_nodes = remote_nodes(n)
             shard.pool_generator = np.random.default_rng(rng.randrange(2**63))
             self.shards.append(shard)
 
@@ -291,7 +279,7 @@ class ClusterDeployment(ShardedClientAPI):
             await self.aclose()
             raise
         self.addresses = [addresses[index] for index in range(len(self.shards))]
-        latency, jitter, drop_probability, dispatch = self._knobs
+        latency, jitter, drop_probability = self._knobs
         for shard, address in zip(self.shards, self.addresses):
             shard.transport = TcpTransport(
                 address,
@@ -301,8 +289,7 @@ class ClusterDeployment(ShardedClientAPI):
                 seed=shard.transport_seed,
             )
             await shard.transport.connect()
-            if dispatch == "batched":
-                shard.dispatcher = TcpDispatcher(shard.transport, tracker=shard.tracker)
+            shard.dispatcher = TcpDispatcher(shard.transport, tracker=shard.tracker)
         self._started = True
 
     async def _await_ready(self) -> Dict[int, Tuple[str, int]]:
@@ -403,15 +390,15 @@ class ClusterDeployment(ShardedClientAPI):
         for shard in self.shards:
             target = next(
                 (
-                    node
-                    for node in shard.client_nodes
-                    if node.server_id not in shard.plan.faulty_servers
+                    server
+                    for server in range(self.scenario.n)
+                    if server not in shard.plan.faulty_servers
                 ),
-                shard.client_nodes[0],
+                0,
             )
             try:
-                reply = await shard.transport.call(target, "ping", timeout=timeout)
-                results.append(isinstance(reply, tuple) and reply[0] == "ok")
+                replies = await shard.dispatcher.fan_out([target], "ping", (), timeout)
+                results.append(target in replies)
             except Exception:
                 results.append(False)
         return results
@@ -439,16 +426,14 @@ class ClusterClientPool(ShardedClientAPI):
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
-        dispatch: str = "batched",
         transport_seeds: Optional[Sequence[int]] = None,
         pool_seeds: Optional[Sequence[int]] = None,
     ) -> None:
         self.scenario = scenario
         self.transport_mode = "tcp"
         self._started = False
-        self._knobs = (latency, jitter, drop_probability, dispatch)
+        self._knobs = (latency, jitter, drop_probability)
         self.addresses = [(str(host), int(port)) for host, port in addresses]
-        n = scenario.n
         self.shards: List[_Shard] = []
         for index, _address in enumerate(self.addresses):
             shard = _Shard()
@@ -456,7 +441,6 @@ class ClusterClientPool(ShardedClientAPI):
             shard.transport_seed = (
                 transport_seeds[index] if transport_seeds is not None else index
             )
-            shard.client_nodes = remote_nodes(n)
             shard.pool_generator = np.random.default_rng(
                 pool_seeds[index] if pool_seeds is not None else index
             )
@@ -465,7 +449,7 @@ class ClusterClientPool(ShardedClientAPI):
     async def start(self) -> None:
         if self._started:
             return
-        latency, jitter, drop_probability, dispatch = self._knobs
+        latency, jitter, drop_probability = self._knobs
         for shard, address in zip(self.shards, self.addresses):
             shard.transport = TcpTransport(
                 address,
@@ -475,8 +459,7 @@ class ClusterClientPool(ShardedClientAPI):
                 seed=shard.transport_seed,
             )
             await shard.transport.connect()
-            if dispatch == "batched":
-                shard.dispatcher = TcpDispatcher(shard.transport)
+            shard.dispatcher = TcpDispatcher(shard.transport)
         self._started = True
 
     async def aclose(self) -> None:
@@ -566,7 +549,6 @@ async def _drive_worker(config: LoadWorkerConfig) -> Dict[str, Any]:
         latency=spec.latency,
         jitter=spec.jitter,
         drop_probability=spec.drop_probability,
-        dispatch=spec.dispatch,
         transport_seeds=config.transport_seeds,
         pool_seeds=config.pool_seeds,
     )
@@ -772,7 +754,6 @@ async def _cluster_load(spec: Any):
         latency=spec.latency,
         jitter=spec.jitter,
         drop_probability=spec.drop_probability,
-        dispatch=spec.dispatch,
         latency_tracking=spec.selection == "latency-aware",
         rng=rng,
         anti_entropy=spec.resolved_anti_entropy,

@@ -1,19 +1,17 @@
-"""Batched RPC dispatch: the coalescing fast path of the service layer.
+"""In-process RPC dispatch: how every in-process client reaches its replicas.
 
-The per-RPC path (:meth:`repro.service.transport.AsyncTransport.call`) costs
-one coroutine, one ``asyncio.sleep`` timer and one deadline per RPC.  At
-quorum size ``q`` with a thousand concurrent clients that is thousands of
-timer handles per scheduling tick — per-*operation* bookkeeping, where the
-paper's whole point is that only per-*server* load should grow with traffic.
-
-:class:`BatchedDispatcher` replaces that bookkeeping with per-server
-batching:
+A quorum operation touches ``q`` servers, and with a thousand concurrent
+clients that is thousands of RPCs per scheduling tick.  Giving each one its
+own coroutine, timer and deadline would make per-*operation* bookkeeping
+the cost that grows with traffic, where the paper's whole point is that
+only per-*server* load should.  :class:`BatchedDispatcher` therefore
+batches per server:
 
 * every RPC is appended to its destination node's pending bucket; the
   **first** RPC to reach a node in a scheduling window arms one delivery
-  event (``call_later`` at the transport delay plus the window, or
-  ``call_soon`` when both are zero) and every later RPC to the same node
-  rides along — one timer per *(node, tick)*, not per RPC;
+  event (``call_later`` at the transport delay, or ``call_soon`` when it is
+  zero) and every later RPC to the same node rides along — one timer per
+  *(node, tick)*, not per RPC;
 * a fanned-out operation is one :class:`_PendingOp`: a single future the
   caller awaits, resolved when every constituent RPC's fate is known.  An
   operation with missed RPCs (drops, crashes, silent servers) resolves at
@@ -21,14 +19,12 @@ batching:
   lazily and only when a miss actually happened — so the loss-free fast path
   runs with **zero** deadline timers.
 
-The transport still decides each message's fate: drops are sampled per
-message from the transport's RNG and all failure counters
-(``calls``/``dropped``/``timed_out``) live on the transport, so a report
-reads identically in both modes.  What coalescing does change is jitter
-granularity: the delivery delay is drawn once per (node, tick) rather than
-per RPC, and RPCs joining an already-armed window are delivered with it.
-Observable semantics are preserved — a missing reply still costs the caller
-its deadline, and with no deadline the caller learns of the loss after the
+The transport decides each message's fate: drops are sampled per message
+from the transport's RNG and all failure counters
+(``calls``/``dropped``/``timed_out``) live on the transport.  The delivery
+delay is drawn once per (node, tick), and RPCs joining an already-armed
+window are delivered with it.  A missing reply costs the caller its
+deadline, and with no deadline the caller learns of the loss after the
 transport delay.
 """
 
@@ -37,15 +33,10 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import ConfigurationError
 from repro.service.node import NO_REPLY, ServiceNode
 from repro.service.stats import EwmaLatencyTracker
 from repro.service.transport import AsyncTransport
 from repro.types import ServerId
-
-#: The two dispatch modes the service layer exposes.
-DISPATCH_MODES = ("batched", "per-rpc")
-
 
 class _PendingOp:
     """One fanned-out operation: shared reply dict, shared deadline.
@@ -54,8 +45,8 @@ class _PendingOp:
     ``{server: payload}`` map of every RPC that answered.  ``deliver`` and
     ``miss`` are called from flush callbacks as each constituent RPC's fate
     becomes known; the op resolves immediately when everything answered, and
-    otherwise at ``start + timeout`` (one lazily armed timer), mirroring the
-    per-RPC path where a missing reply costs the caller its whole deadline.
+    otherwise at ``start + timeout`` (one lazily armed timer): a missing reply
+    costs the caller its whole deadline.
     """
 
     __slots__ = (
@@ -112,11 +103,6 @@ class BatchedDispatcher:
     transport:
         The shared transport: source of delays, drop sampling and the
         ``calls``/``dropped``/``timed_out`` counters.
-    window:
-        Extra coalescing time (event-loop seconds) added to the transport
-        delay before a node's bucket is flushed.  ``0.0`` (the default)
-        flushes on the next loop iteration at zero latency, which already
-        coalesces everything enqueued by the currently runnable tasks.
     tracker:
         Optional :class:`~repro.service.stats.EwmaLatencyTracker` fed with
         per-server delivery latencies and miss penalties.
@@ -126,16 +112,10 @@ class BatchedDispatcher:
         self,
         nodes: Sequence[ServiceNode],
         transport: AsyncTransport,
-        window: float = 0.0,
         tracker: Optional[EwmaLatencyTracker] = None,
     ) -> None:
-        if window < 0.0:
-            raise ConfigurationError(
-                f"the dispatch window must be non-negative, got {window}"
-            )
         self.nodes = list(nodes)
         self.transport = transport
-        self.window = float(window)
         self.tracker = tracker
         self._pending: List[List[Tuple[_PendingOp, str, tuple]]] = [
             [] for _ in self.nodes
@@ -161,12 +141,10 @@ class BatchedDispatcher:
         """Issue one logical operation: ``method`` to every listed server.
 
         Returns the ``{server: payload}`` map of the replies that arrived
-        within the operation deadline (the batched equivalent of the per-RPC
-        path's gather-over-:meth:`~AsyncTransport.call`).  A ``trace``
-        collects one span per constituent RPC as its fate is flushed.
+        within the operation deadline.  A ``trace`` collects one span per
+        constituent RPC as its fate is flushed.
         """
         if not servers:
-            # Mirror the per-RPC oracle: an empty fan-out answers instantly.
             return {}
         loop = asyncio.get_running_loop()
         op = _PendingOp(loop, timeout, len(servers))
@@ -180,7 +158,7 @@ class BatchedDispatcher:
             pending[server].append((op, method, args))
             if not armed[server]:
                 armed[server] = True
-                delay = transport.draw_delay() + self.window
+                delay = transport.draw_delay()
                 if delay > 0.0:
                     loop.call_later(delay, self._flush, server, loop.time() + delay)
                 else:
@@ -206,7 +184,7 @@ class BatchedDispatcher:
         if not self._armed[server]:
             self._armed[server] = True
             loop = asyncio.get_running_loop()
-            delay = self.transport.draw_delay() + self.window
+            delay = self.transport.draw_delay()
             if delay > 0.0:
                 loop.call_later(delay, self._flush, server, loop.time() + delay)
             else:
@@ -250,8 +228,8 @@ class BatchedDispatcher:
                 # deadline even when the window's drawn delay is not.  Using
                 # the *scheduled* flush time (not the wall clock at which
                 # this callback actually ran) keeps event-loop lag from
-                # counting against the transport's deadline, exactly as in
-                # the per-RPC path where fates follow drawn delays.
+                # counting against the transport's deadline: fates follow
+                # drawn delays.
                 transport.timed_out += 1
                 if op.trace is not None:
                     op.trace.record(server, method, op.start, flush_at, "timeout")
@@ -277,6 +255,5 @@ class BatchedDispatcher:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
-            f"BatchedDispatcher(nodes={len(self.nodes)}, window={self.window}, "
-            f"flushes={self.flushes})"
+            f"BatchedDispatcher(nodes={len(self.nodes)}, flushes={self.flushes})"
         )

@@ -5,14 +5,15 @@
 scenario (quorum system + failure model + register kind) with a *service*
 workload — how many concurrent reader clients, how many writes, which
 transport (``"inproc"`` shared-memory or ``"tcp"`` localhost sockets) and
-conditions (latency / jitter / drops), the per-RPC deadline, how many
+conditions (latency / jitter / drops), the operation deadline, how many
 independent shards the deployment runs and how many register keys the
 workload spreads over (optionally zipf-skewed), and a rolling
 crash/recovery schedule injected while requests are in flight.
 
 :func:`run_service_load` deploys the scenario through
 :class:`~repro.service.sharding.ShardedDeployment` — each shard an
-independent replica group + transport + dispatcher — drives ``writers``
+independent replica group + transport + dispatcher, the dispatcher being
+every client's one way to that shard's replicas — drives ``writers``
 concurrent writers (each under its own writer identity, so contending
 timestamps tie-break by writer id exactly as in the Monte-Carlo engines)
 and ``clients`` concurrent readers through per-shard
@@ -56,13 +57,7 @@ from repro.obs.monitor import EpsilonMonitor
 from repro.obs.trace import Tracer
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.variable import ReadOutcome, WriteOutcome
-from repro.service.client import (
-    DEFAULT_QUORUM_POOL,
-    SELECTION_MODES,
-    UNSET,
-    resolve_deprecated_alias,
-)
-from repro.service.dispatch import DISPATCH_MODES
+from repro.service.client import DEFAULT_QUORUM_POOL, SELECTION_MODES
 from repro.service.sharding import TRANSPORT_MODES, ShardedDeployment, shard_for_key
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
@@ -148,9 +143,8 @@ class ServiceLoadSpec:
         :class:`~repro.service.transport.AsyncTransport`; over TCP they are
         added to the real socket cost).
     deadline:
-        Per-RPC deadline for every client (``None`` disables it; never
-        disable it on a lossy or TCP transport).  ``rpc_timeout`` is the
-        deprecated pre-facade spelling of the same knob.
+        Operation deadline for every client (``None`` disables it; never
+        disable it on a lossy or TCP transport).
     fault_injection:
         Live crash/recovery churn on top of the scenario's failures.
     transport:
@@ -164,18 +158,10 @@ class ServiceLoadSpec:
         Register keys the workload spreads over.
     key_skew:
         Zipf exponent of the readers' key distribution (0 = uniform).
-    dispatch:
-        ``"batched"`` (default): coalescing fast path of the active
-        transport — the in-process
-        :class:`~repro.service.dispatch.BatchedDispatcher`, or the op-level
-        :class:`~repro.service.net.TcpDispatcher` on the wire.  ``"per-rpc"``
-        is the original coroutine-per-RPC path (the semantic oracle).
     selection:
         ``"strategy"`` (default, ε-faithful) or ``"latency-aware"`` (EWMA
         bias toward fast replicas; refused when the scenario deploys
         Byzantine servers — see :mod:`repro.service.stats`).
-    dispatch_window:
-        Extra coalescing time per delivery event (in-process batched mode).
     quorum_pool:
         Strategy quorums pre-sampled per client per block refill
         (``0`` disables pooling).
@@ -207,9 +193,7 @@ class ServiceLoadSpec:
     shards: int = 1
     keys: int = 1
     key_skew: float = 0.0
-    dispatch: str = "batched"
     selection: str = "strategy"
-    dispatch_window: float = 0.0
     quorum_pool: int = DEFAULT_QUORUM_POOL
     seed: int = 0
     writers: Optional[int] = None
@@ -236,18 +220,8 @@ class ServiceLoadSpec:
     #: declares diffusion keeps it under load, and everything stays off
     #: when neither declares it.
     anti_entropy: Optional[AntiEntropySpec] = None
-    #: Deprecated alias for ``deadline`` (the pre-facade spelling).
-    rpc_timeout: Optional[float] = UNSET  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        deadline = resolve_deprecated_alias(
-            self.deadline, self.rpc_timeout, "deadline", "rpc_timeout"
-        )
-        # Keep both spellings readable after normalisation (the frozen
-        # dataclass needs object.__setattr__): new code reads ``deadline``,
-        # pre-facade callers keep reading ``rpc_timeout``.
-        object.__setattr__(self, "deadline", deadline)
-        object.__setattr__(self, "rpc_timeout", deadline)
         if not isinstance(self.scenario, ScenarioSpec):
             raise ConfigurationError(
                 f"a service load is described over a ScenarioSpec, "
@@ -297,17 +271,9 @@ class ServiceLoadSpec:
             raise ConfigurationError(
                 f"contention is a probability in [0, 1], got {self.contention}"
             )
-        if self.dispatch not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch mode {self.dispatch!r}; choose from {DISPATCH_MODES}"
-            )
         if self.selection not in SELECTION_MODES:
             raise ConfigurationError(
                 f"unknown selection mode {self.selection!r}; choose from {SELECTION_MODES}"
-            )
-        if self.dispatch_window < 0.0:
-            raise ConfigurationError(
-                f"the dispatch window must be non-negative, got {self.dispatch_window}"
             )
         if self.quorum_pool < 0:
             raise ConfigurationError(
@@ -421,7 +387,7 @@ class ServiceLoadSpec:
         return (
             f"ServiceLoadSpec({self.scenario.describe()}, clients={self.clients}, "
             f"reads/client={self.reads_per_client}, writes={self.writes}, "
-            f"dispatch={self.dispatch}, selection={self.selection}, "
+            f"selection={self.selection}, "
             f"latency={self.latency}, drop={self.drop_probability}, "
             f"injected_crashes={self.fault_injection.crash_count}{extras})"
         )
@@ -452,8 +418,8 @@ class ServiceLoadReport:
     rpc_timeouts: int
     probe_fallbacks: int
     injected_crashes: int
-    #: Delivery events the in-process batched dispatcher fired (0 on the
-    #: per-RPC and TCP paths); coalescing quality is roughly
+    #: Delivery events the in-process batched dispatcher fired (0 over
+    #: TCP); coalescing quality is roughly
     #: ``rpc_calls / dispatch_flushes``.
     dispatch_flushes: int = 0
     #: Read-repair payloads piggybacked on already-scheduled deliveries
@@ -698,8 +664,6 @@ async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
         latency=spec.latency,
         jitter=spec.jitter,
         drop_probability=spec.drop_probability,
-        dispatch=spec.dispatch,
-        dispatch_window=spec.dispatch_window,
         # One tracker per shard (created inside the deployment): the shards
         # are independent replica groups, so latency estimates never mix.
         latency_tracking=spec.selection == "latency-aware",

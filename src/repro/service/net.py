@@ -1,27 +1,30 @@
 """Real socket transport: the service layer over asyncio TCP streams.
 
-Everything above the transport — quorum clients, register frontends, the
+Everything above the dispatcher — quorum clients, register frontends, the
 load harness, the classifiers — is transport-agnostic: it calls
-``transport.call(node, method, *args, timeout=...)`` and reads the
-``calls``/``dropped``/``timed_out`` counters.  This module supplies the
-wire-level implementation of that same interface:
+``dispatcher.fan_out(servers, method, args, timeout)`` and reads the
+transport's ``calls``/``dropped``/``timed_out`` counters.  This module
+supplies the wire-level implementation of that interface:
 
 * :class:`TcpServiceServer` hosts a whole replica group (a list of
   :class:`~repro.service.node.ServiceNode`) behind one listening socket;
   requests carry the destination ``server_id`` and are dispatched to the
-  node's ordinary ``handle`` method.  A node that answers
+  node's ordinary ``handle`` method once their arguments pass the wire
+  boundary's checks.  A node that answers
   :data:`~repro.service.node.NO_REPLY` (crashed, silent-Byzantine) gets **no
   response frame** — the caller's deadline expires exactly as it would
   in process, so live fault injection works unchanged over the wire.
-* :class:`TcpTransport` is a drop-in :class:`~repro.service.transport.
-  AsyncTransport`: per-RPC wall-clock deadlines, the same failure counters,
-  and the same client-side drop/latency simulation knobs (a "dropped" RPC is
-  never sent and costs the caller its whole deadline, mirroring the
-  in-process semantics).  It maintains a small pool of connections, each
-  with its own **writer task** draining an outbound queue — concurrent
-  fan-outs coalesce into large socket writes — and **reconnects on drop**:
-  a broken connection is detected, its in-flight RPCs are left to their
-  deadlines (silence semantics), and the next send reopens the socket.
+* :class:`TcpTransport` extends :class:`~repro.service.transport.
+  AsyncTransport` (the same drop/latency simulation knobs and failure
+  counters) with a small pool of connections, each with its own **writer
+  task** draining an outbound queue — concurrent fan-outs coalesce into
+  large socket writes — and **reconnect on drop**: a broken connection is
+  detected, its in-flight RPCs are left to their deadlines (silence
+  semantics), and the next send reopens the socket.
+* :class:`TcpDispatcher` is the client's way onto the wire: one future and
+  one deadline timer per fanned-out operation, the same ``fan_out``
+  interface as the in-process
+  :class:`~repro.service.dispatch.BatchedDispatcher`.
 
 Unlike the simulated transport, deadlines here are *wall-clock*: a timeout
 bounds real elapsed time, including event-loop lag and kernel buffering.
@@ -47,8 +50,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import RpcTimeoutError, ServiceError, WireFormatError
+from repro.exceptions import ServiceError, WireFormatError
 from repro.obs.metrics import MetricsRegistry
+from repro.protocol.timestamps import Timestamp
 from repro.service.node import NO_REPLY, ServiceNode
 from repro.service.transport import AsyncTransport
 from repro.service.wire import (
@@ -66,26 +70,29 @@ _READ_CHUNK = 64 * 1024
 #: Connections a :class:`TcpTransport` stripes its RPCs across by default.
 DEFAULT_CONNECTIONS = 2
 
+#: Argument count of every method a replica serves over the wire.
+_ARITY = {"read": 1, "ping": 0, "write": 4, "repair": 4}
 
-class RemoteNode:
-    """Client-side stub for a replica hosted by a :class:`TcpServiceServer`.
 
-    Carries only the ``server_id`` the quorum client and transport route by;
-    the node's storage and behaviour live in the server process.
+def _check_args(method: Any, args: tuple) -> None:
+    """Refuse request arguments no honest client sends; raise ``ValueError``.
+
+    The variable is a ``str``; ``write`` and ``repair`` carry a
+    :class:`~repro.protocol.timestamps.Timestamp` and a ``bytes``-or-``None``
+    signature.  A replica that stored a rogue peer's junk timestamp could
+    no longer order the next honest write against it, so the junk is
+    stopped here, before it reaches any node.
     """
-
-    __slots__ = ("server_id",)
-
-    def __init__(self, server_id: int) -> None:
-        self.server_id = int(server_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"RemoteNode({self.server_id})"
-
-
-def remote_nodes(n: int) -> List[RemoteNode]:
-    """The ``n`` stubs a client passes where in-process code passes nodes."""
-    return [RemoteNode(server) for server in range(n)]
+    if _ARITY.get(method) != len(args):
+        raise ValueError(f"{method!r} with {len(args)} arguments")
+    if args and type(args[0]) is not str:
+        raise ValueError(f"variable {args[0]!r}")
+    if len(args) == 4:
+        signature = args[3]
+        if type(args[2]) is not Timestamp or not (
+            signature is None or type(signature) is bytes
+        ):
+            raise ValueError(f"timestamp {args[2]!r}, signature {signature!r}")
 
 
 async def _drain_queue(
@@ -124,7 +131,10 @@ class TcpServiceServer:
         ephemeral port, published via :attr:`address` after :meth:`start`.
 
     Requests arrive as 5-tuples, or as 6-tuples carrying the client's trace
-    id; both are served identically, and the trace ids are counted.
+    id; both are served identically, and the trace ids are counted.  A
+    request that is malformed, names an unknown method, carries arguments
+    no honest client sends (see :func:`_check_args`) or makes the node's
+    handler raise costs its peer the connection and nothing more.
     """
 
     def __init__(
@@ -235,11 +245,12 @@ class TcpServiceServer:
             if not isinstance(server_id, int) or not 0 <= server_id < len(self.nodes):
                 raise ValueError(server_id)
             node = self.nodes[server_id]
+            _check_args(method, args)
         except (TypeError, ValueError, IndexError, KeyError) as error:
             raise WireFormatError(f"malformed request frame: {frame!r}") from error
         try:
             reply = node.handle(method, *args)
-        except ServiceError as error:
+        except (ServiceError, TypeError, ValueError) as error:
             # Method-level garbage gets the same containment as frame-level
             # garbage: this peer loses its connection, nothing more.
             raise WireFormatError(f"unroutable request frame: {error}") from error
@@ -249,7 +260,7 @@ class TcpServiceServer:
             self.last_trace_id = trace_id
         if reply is NO_REPLY:
             # Silence stays silence on the wire: the caller's deadline is
-            # the only thing that resolves it, as on the in-process paths.
+            # the only thing that resolves it, as in process.
             return None
         return encode_response_frame(request_id, reply)
 
@@ -368,14 +379,15 @@ class _TcpConnection:
 
 
 class TcpTransport(AsyncTransport):
-    """The :class:`AsyncTransport` interface over real asyncio TCP streams.
+    """The :class:`AsyncTransport` conditions plus a pool of TCP connections.
 
     ``latency``/``jitter``/``drop_probability`` keep their simulation
     meaning — extra client-side delay and injected message loss on top of
     whatever the real network does — so a :class:`~repro.service.load.
     ServiceLoadSpec` moves between ``transport="inproc"`` and
-    ``transport="tcp"`` without changing what its knobs mean.  Deadlines are
-    enforced in wall-clock time.
+    ``transport="tcp"`` without changing what its knobs mean.  RPCs travel
+    through a :class:`TcpDispatcher`, which enforces deadlines in
+    wall-clock time.
 
     Parameters
     ----------
@@ -402,12 +414,12 @@ class TcpTransport(AsyncTransport):
             raise ServiceError(f"need at least one connection, got {connections}")
         self.address = (str(address[0]), int(address[1]))
         self._connections = [_TcpConnection(self) for _ in range(connections)]
-        #: request_id -> Future (per-RPC path) or (op, server) (dispatcher path).
-        self._pending: Dict[int, Any] = {}
+        #: request_id -> (op, server) of every RPC awaiting its reply.
+        self._pending: Dict[int, Tuple["_WireOp", int]] = {}
         self._next_request_id = 0
         #: Times a dropped connection was re-opened by a later send.
         self.reconnects = 0
-        #: Optional latency tracker fed by the dispatcher path.
+        #: Optional latency tracker fed by the dispatcher.
         self.tracker: Optional[Any] = None
 
     async def connect(self) -> None:
@@ -431,105 +443,8 @@ class TcpTransport(AsyncTransport):
         entry = self._pending.get(request_id)
         if entry is None:
             return
-        if isinstance(entry, asyncio.Future):
-            if not entry.done():
-                entry.set_result(payload)
-            return
         op, server = entry
         op.deliver(server, request_id, payload)
-
-    async def call(
-        self,
-        node: Any,
-        method: str,
-        *args: Any,
-        timeout: Optional[float] = None,
-        trace_id: Optional[int] = None,
-    ) -> Any:
-        """One RPC over the wire; mirror the in-process failure semantics.
-
-        ``node`` needs only a ``server_id`` (a :class:`RemoteNode` stub, or
-        a real :class:`~repro.service.node.ServiceNode` in tests).  Raises
-        :class:`~repro.exceptions.RpcTimeoutError` when the RPC was
-        (simulated-)dropped, the reply missed the wall-clock deadline, or
-        the connection failed and could not be re-established in time; the
-        error carries a ``disposition`` attribute for trace spans.  A
-        ``trace_id`` rides the request envelope as its sixth element.
-        """
-        self.calls += 1
-        if self.drop_probability > 0.0 and self.rng.random() < self.drop_probability:
-            # Simulated loss: never sent, costs the caller its deadline.
-            self.dropped += 1
-            await asyncio.sleep(self._delay() if timeout is None else timeout)
-            error = RpcTimeoutError(
-                f"rpc {method!r} to server {node.server_id} was dropped"
-            )
-            error.disposition = "dropped"
-            raise error
-        extra_delay = self._delay()
-        if timeout is not None and extra_delay > timeout:
-            # As on the in-process transport, the injected delay counts
-            # against the deadline: a delay beyond it is a timeout.
-            self.timed_out += 1
-            await asyncio.sleep(timeout)
-            error = RpcTimeoutError(
-                f"rpc {method!r} to server {node.server_id} timed out"
-            )
-            error.disposition = "timeout"
-            raise error
-        if extra_delay > 0.0:
-            await asyncio.sleep(extra_delay)
-        if timeout is not None:
-            timeout -= extra_delay
-        loop = asyncio.get_running_loop()
-        self._next_request_id += 1
-        request_id = self._next_request_id
-        future = loop.create_future()
-        self._pending[request_id] = future
-        connection = self._connections[request_id % len(self._connections)]
-        started = loop.time()
-        try:
-            try:
-                await connection.send(
-                    encode_request_frame(
-                        request_id,
-                        node.server_id,
-                        request_tail(method, args),
-                        trace_id=trace_id,
-                    ),
-                    connect_timeout=timeout,
-                )
-            except (ConnectionError, OSError) as error:
-                # Unreachable server: burn (the rest of) the deadline like
-                # any silent peer — a failed connect already consumed some.
-                self.timed_out += 1
-                if timeout is not None:
-                    remaining = timeout - (loop.time() - started)
-                    if remaining > 0.0:
-                        await asyncio.sleep(remaining)
-                wrapped = RpcTimeoutError(
-                    f"rpc {method!r} to server {node.server_id} failed to send: {error}"
-                )
-                wrapped.disposition = "unsent"
-                raise wrapped from error
-            if timeout is None:
-                return await future
-            try:
-                # Connect/queue time counts against the same deadline the
-                # reply does: one RPC never waits longer than `timeout`.
-                return await asyncio.wait_for(
-                    future, max(timeout - (loop.time() - started), 0.001)
-                )
-            except asyncio.TimeoutError:
-                self.timed_out += 1
-                error = RpcTimeoutError(
-                    f"rpc {method!r} to server {node.server_id} timed out "
-                    f"after {timeout}s"
-                )
-                error.disposition = "timeout"
-                raise error from None
-        finally:
-            self._pending.pop(request_id, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
@@ -576,7 +491,7 @@ class _WireOp:
         self.outstanding.pop(request_id, None)
         self.transport._pending.pop(request_id, None)
         # Strip the ("ok", payload) reply envelope, as the in-process
-        # dispatcher and the per-RPC client path both do.
+        # dispatcher does.
         self.replies[server] = envelope[1]
         now = self.loop.time()
         tracker = self.transport.tracker
@@ -587,7 +502,7 @@ class _WireOp:
         if not self.outstanding and (self.misses == 0 or self.timer is None):
             # Every sent RPC answered: resolve early.  With misses (drops),
             # the deadline timer resolves instead — a partially failed
-            # operation costs its whole deadline, as on every other path.
+            # operation costs its whole deadline, as in process.
             self._resolve()
 
     def _deadline(self) -> None:
@@ -617,20 +532,19 @@ class _WireOp:
 class TcpDispatcher:
     """Operation-level fan-out over a :class:`TcpTransport`.
 
-    The per-RPC path (:meth:`TcpTransport.call`) costs one future and one
-    ``wait_for`` timer per RPC; at quorum size ``q`` that is ``q`` timer
-    heap operations per logical read.  This dispatcher implements the same
-    ``fan_out`` interface as the in-process
+    Implements the same ``fan_out`` interface as the in-process
     :class:`~repro.service.dispatch.BatchedDispatcher` — the quorum client
     accepts either — so one operation is **one** future and **one** deadline
     timer however many servers it touches, and all of its request frames are
     handed to the connection writers in a single burst (which the writer
     tasks coalesce into few socket writes).
 
-    Drop simulation, counters and deadline semantics mirror the other
-    paths: drops are sampled per RPC from the transport RNG, a partially
-    failed operation resolves at its deadline with whatever arrived, and
-    every unanswered sent RPC increments ``timed_out`` exactly once.
+    Drop simulation, counters and deadline semantics mirror the in-process
+    dispatcher: drops are sampled per RPC from the transport RNG, a
+    partially failed operation resolves at its deadline with whatever
+    arrived, and every unanswered sent RPC increments ``timed_out`` exactly
+    once.  A server that cannot be reached is silence: its RPCs cost the
+    deadline, and the next send reconnects.
     """
 
     def __init__(self, transport: TcpTransport, tracker: Optional[Any] = None) -> None:
@@ -716,7 +630,7 @@ class TcpDispatcher:
             sent.append(server)
         # The op (and its deadline timer) starts *before* the injected
         # delay, so simulated latency counts against the deadline exactly
-        # as on the in-process paths.
+        # as in process.
         op = _WireOp(transport, loop, timeout, misses)
         if trace is not None:
             op.trace = trace
@@ -725,8 +639,8 @@ class TcpDispatcher:
                 # Sampled drops never hit the wire: zero-length spans.
                 trace.record(server, method, op.start, op.start, "dropped")
         if transport.latency > 0.0:
-            # One coalesced delay per operation, drawn from the same stream
-            # and distribution as the per-RPC path's.
+            # One coalesced delay per operation, drawn from the transport's
+            # stream and distribution.
             await asyncio.sleep(transport.draw_delay())
         connections = transport._connections
         stripes = len(connections)

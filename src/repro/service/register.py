@@ -143,10 +143,10 @@ class AsyncRegister:
         Definite laggards — quorum members whose reply carried an *older*
         timestamp — come first so a small repair budget is spent where the
         lag is proven; quorum members with no value-bearing reply (empty
-        copy, crashed, or silent) follow.  A reply whose timestamp does not
-        compare against the settled one (a forgery the filter discarded) is
-        never a repair target: anti-entropy propagates the settled value,
-        it does not argue with Byzantine servers.
+        copy, crashed, or silent) follow.  The client has already reduced
+        every malformed reply to value-less, so each remaining timestamp is
+        a :class:`~repro.protocol.timestamps.Timestamp` that orders against
+        the settled one.
         """
         winning = outcome.reporting_servers
         stale: list = []
@@ -158,11 +158,7 @@ class AsyncRegister:
             if stored is None:
                 unknown.append(server)
                 continue
-            try:
-                behind = stored.timestamp is None or stored.timestamp < outcome.timestamp
-            except TypeError:
-                continue
-            if behind:
+            if stored.timestamp is None or stored.timestamp < outcome.timestamp:
                 stale.append(server)
         return stale + unknown
 

@@ -14,11 +14,12 @@ to it (the sharding tests pin this isolation down).
 * :func:`shard_for_key` — the stable routing hash (BLAKE2b, *not* Python's
   randomised ``hash``), identical across processes and runs;
 * :class:`ShardedDeployment` — builds and owns the per-shard resources for
-  either transport mode (``"inproc"``: shared-memory nodes, optionally
-  behind the batched dispatcher; ``"tcp"``: one
+  either transport mode (``"inproc"``: shared-memory nodes behind the
+  :class:`~repro.service.dispatch.BatchedDispatcher`; ``"tcp"``: one
   :class:`~repro.service.net.TcpServiceServer` per shard with a
   :class:`~repro.service.net.TcpTransport` + op-level
-  :class:`~repro.service.net.TcpDispatcher` in front);
+  :class:`~repro.service.net.TcpDispatcher` in front), the one way every
+  client of a shard reaches its replicas;
 * :class:`ShardedAsyncRegisterClient` — one logical client routing
   ``read(key)``/``write(key, value)`` to per-key register frontends on the
   key's shard.
@@ -41,21 +42,10 @@ from repro.exceptions import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.protocol.variable import WriteOutcome
-from repro.service.client import (
-    DEFAULT_QUORUM_POOL,
-    UNSET,
-    AsyncQuorumClient,
-    resolve_deprecated_alias,
-)
+from repro.service.client import DEFAULT_QUORUM_POOL, AsyncQuorumClient
 from repro.service.dispatch import BatchedDispatcher
 from repro.service.gossip import GOSSIP_SEED_SALT, GossipService, scenario_verifier
-from repro.service.net import (
-    RemoteNode,
-    TcpDispatcher,
-    TcpServiceServer,
-    TcpTransport,
-    remote_nodes,
-)
+from repro.service.net import TcpDispatcher, TcpServiceServer, TcpTransport
 from repro.service.node import ServiceNode
 from repro.service.register import AsyncRegister, async_register_for
 from repro.service.stats import EwmaLatencyTracker
@@ -92,7 +82,6 @@ class _Shard:
         "transport_seed",
         "dispatcher",
         "server",
-        "client_nodes",
         "pool_generator",
         "tracker",
     )
@@ -105,7 +94,6 @@ class _Shard:
         self.transport_seed = 0
         self.dispatcher = None
         self.server: Optional[TcpServiceServer] = None
-        self.client_nodes: Sequence[Any] = ()
         self.pool_generator: Optional[np.random.Generator] = None
         self.tracker: Optional[Any] = None
 
@@ -116,8 +104,8 @@ class ShardedClientAPI:
     Shared by :class:`ShardedDeployment` (servers on the current loop) and
     :class:`~repro.service.cluster.ClusterDeployment` (one server process
     per shard): both own a ``scenario``, a ``shards`` list of per-shard
-    resources (transport / dispatcher / client node stubs / pool generator
-    / tracker) and a ``_started`` flag, and everything clients need —
+    resources (transport / dispatcher / pool generator / tracker) and a
+    ``_started`` flag, and everything clients need —
     routing, per-shard quorum clients, the logical sharded register client,
     aggregate RPC counters — derives from exactly that, so the two
     deployment shapes are interchangeable above this line.
@@ -154,10 +142,8 @@ class ShardedClientAPI:
         selection: str = "strategy",
         quorum_pool: int = DEFAULT_QUORUM_POOL,
         client_id: Optional[str] = None,
-        timeout: Optional[float] = UNSET,
     ) -> AsyncQuorumClient:
         """One quorum client bound to a single shard's replica group."""
-        deadline = resolve_deprecated_alias(deadline, timeout, "deadline", "timeout")
         if not self._started:
             raise ConfigurationError(
                 "start() the deployment before creating clients (TCP ports "
@@ -167,11 +153,9 @@ class ShardedClientAPI:
         anti_entropy = self.anti_entropy
         return AsyncQuorumClient(
             self.scenario.system,
-            shard.client_nodes,
-            shard.transport,
+            shard.dispatcher,
             deadline=deadline,
             rng=rng,
-            dispatcher=shard.dispatcher,
             selection=selection,
             tracker=shard.tracker,
             quorum_pool=quorum_pool,
@@ -194,7 +178,6 @@ class ShardedClientAPI:
         selection: str = "strategy",
         quorum_pool: int = DEFAULT_QUORUM_POOL,
         writer_id: Optional[int] = None,
-        timeout: Optional[float] = UNSET,
     ) -> "ShardedAsyncRegisterClient":
         """One logical sharded client (one quorum client per shard).
 
@@ -205,7 +188,6 @@ class ShardedClientAPI:
         writers must each write under their own id or colliding timestamps
         would alias distinct values.
         """
-        deadline = resolve_deprecated_alias(deadline, timeout, "deadline", "timeout")
         clients = [
             self.client_for_shard(
                 index,
@@ -245,7 +227,7 @@ class ShardedClientAPI:
     def repairs_piggybacked(self) -> int:
         """Read-repair payloads piggybacked across every shard's dispatcher."""
         return sum(
-            getattr(shard.dispatcher, "repairs_piggybacked", 0)
+            shard.dispatcher.repairs_piggybacked
             for shard in self.shards
             if shard.dispatcher is not None
         )
@@ -311,13 +293,6 @@ class ShardedDeployment(ShardedClientAPI):
     latency, jitter, drop_probability:
         Transport conditions, with the same meaning in both modes (over TCP
         they are *added* to whatever the real sockets cost).
-    dispatch:
-        ``"batched"`` installs the coalescing dispatcher of the matching
-        transport (``BatchedDispatcher`` in process, the op-level
-        ``TcpDispatcher`` on the wire); ``"per-rpc"`` uses the
-        coroutine-per-RPC oracle path in both modes.
-    dispatch_window:
-        Extra coalescing time for the in-process batched dispatcher.
     latency_tracking:
         When true, each shard gets its **own**
         :class:`~repro.service.stats.EwmaLatencyTracker` (latency-aware
@@ -353,8 +328,6 @@ class ShardedDeployment(ShardedClientAPI):
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
-        dispatch: str = "batched",
-        dispatch_window: float = 0.0,
         latency_tracking: bool = False,
         rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
@@ -413,27 +386,18 @@ class ShardedDeployment(ShardedClientAPI):
                     drop_probability=drop_probability,
                     seed=shard.transport_seed,
                 )
-                shard.dispatcher = (
-                    BatchedDispatcher(
-                        shard.nodes,
-                        shard.transport,
-                        window=dispatch_window,
-                        tracker=shard.tracker,
-                    )
-                    if dispatch == "batched"
-                    else None
+                shard.dispatcher = BatchedDispatcher(
+                    shard.nodes, shard.transport, tracker=shard.tracker
                 )
-                shard.client_nodes = shard.nodes
             else:
                 # The transport needs the server's ephemeral port, known
                 # only after start(); stash the knobs until then.
                 shard.server = TcpServiceServer(shard.nodes, host=tcp_host)
                 shard.transport = None
                 shard.dispatcher = None
-                shard.client_nodes = remote_nodes(n)
             shard.pool_generator = np.random.default_rng(rng.randrange(2**63))
             self.shards.append(shard)
-        self._tcp_knobs = (latency, jitter, drop_probability, dispatch)
+        self._tcp_knobs = (latency, jitter, drop_probability)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -449,7 +413,7 @@ class ShardedDeployment(ShardedClientAPI):
             # gossip tasks still need a running event loop to arm on.
             self._start_gossip()
             return
-        latency, jitter, drop_probability, dispatch = self._tcp_knobs
+        latency, jitter, drop_probability = self._tcp_knobs
         for shard in self.shards:
             await shard.server.start()
             shard.transport = TcpTransport(
@@ -460,8 +424,7 @@ class ShardedDeployment(ShardedClientAPI):
                 seed=shard.transport_seed,
             )
             await shard.transport.connect()
-            if dispatch == "batched":
-                shard.dispatcher = TcpDispatcher(shard.transport, tracker=shard.tracker)
+            shard.dispatcher = TcpDispatcher(shard.transport, tracker=shard.tracker)
         self._started = True
         self._start_gossip()
 

@@ -1,8 +1,8 @@
 """Per-server latency statistics for the service layer.
 
 :class:`EwmaLatencyTracker` keeps one exponentially weighted moving average
-of observed RPC latency per replica server.  The batched dispatcher (and the
-per-RPC client path) feed it two kinds of observations:
+of observed RPC latency per replica server.  The dispatchers (in process
+and over TCP) feed it two kinds of observations:
 
 * :meth:`observe` — a reply arrived after ``seconds`` of event-loop time;
 * :meth:`penalize` — the server missed (drop, crash, silence): the caller

@@ -1,44 +1,40 @@
-"""Asynchronous message transport with configurable latency, jitter and drops.
+"""Network conditions of the asyncio service layer: latency, jitter, drops.
 
 The Monte-Carlo engines evaluate the protocols over *sequentialised* trials;
 the service layer instead runs genuinely concurrent clients on an asyncio
 event loop, so the transport is where real interleaving (and its hazards)
-enters the model.  Each RPC:
+enters the model.  :class:`AsyncTransport` holds what the dispatchers need
+to decide each message's fate:
 
-* may be dropped, independently per message, with ``drop_probability``
-  (request *or* reply — either way the caller never hears back);
-* is delayed by ``latency ± jitter`` seconds of event-loop time;
-* is bounded by a per-call ``timeout``: a dropped message or a silent server
-  costs the caller exactly the timeout before :class:`RpcTimeoutError` is
-  raised, never an unbounded wait.
+* the conditions — a delivery delay of ``latency ± jitter`` event-loop
+  seconds and an independent per-message ``drop_probability``;
+* the private random source both are drawn from, so a run is reproducible
+  from the transport seed;
+* the ``calls``/``dropped``/``timed_out`` counters every report reads.
 
-Because the transport *simulates* the network, it knows a message's fate at
-send time: a lost or overdue reply sleeps ``timeout`` and raises, instead of
-arming a timer per RPC.  That keeps the hot path cheap enough for the
-throughput harness while preserving the semantics a caller would observe.
-With zero latency the transport still yields to the event loop once per
-call (``asyncio.sleep(0)``), so thousands of in-flight RPCs interleave
-non-deterministically exactly as a real service's would.
+Messages themselves travel through a dispatcher: the in-process
+:class:`~repro.service.dispatch.BatchedDispatcher` or, over sockets, the
+:class:`~repro.service.net.TcpDispatcher` in front of a
+:class:`~repro.service.net.TcpTransport` (which extends this class with a
+connection pool).  Either way a lost or overdue reply costs the caller its
+operation deadline, never an unbounded wait.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-from typing import Any, Optional
 
-from repro.exceptions import ConfigurationError, RpcTimeoutError
-from repro.service.node import NO_REPLY, ServiceNode
+from repro.exceptions import ConfigurationError
 
 
 class AsyncTransport:
-    """Client-to-replica message passing for the asyncio service layer.
+    """Network conditions, their random source and the failure counters.
 
     Parameters
     ----------
     latency:
-        Mean one-way processing delay per RPC, in event-loop seconds (the
-        request and reply legs are folded into one delay).
+        Mean one-way processing delay per delivery, in event-loop seconds
+        (the request and reply legs are folded into one delay).
     jitter:
         Half-width of the uniform noise added to ``latency``.
     drop_probability:
@@ -69,79 +65,15 @@ class AsyncTransport:
         self.jitter = float(jitter)
         self.drop_probability = float(drop_probability)
         self.rng = random.Random(seed)
+        #: RPCs issued, RPCs lost to simulated drops, and RPCs that missed
+        #: their deadline (late, silent or unsendable): the report's
+        #: drop/timeout columns partition the failures.
         self.calls = 0
         self.dropped = 0
         self.timed_out = 0
 
-    def _delay(self) -> float:
+    def draw_delay(self) -> float:
+        """Draw one delivery delay (``latency ± jitter``) from the transport RNG."""
         if self.jitter:
             return self.latency + self.rng.uniform(-self.jitter, self.jitter)
         return self.latency
-
-    def draw_delay(self) -> float:
-        """Draw one delivery delay (``latency ± jitter``) from the transport RNG.
-
-        The batched dispatcher draws a delay per *(node, tick)* delivery
-        event through this hook, so both dispatch modes take their timing
-        noise from the same stream and configuration.
-        """
-        return self._delay()
-
-    async def call(
-        self,
-        node: ServiceNode,
-        method: str,
-        *args: Any,
-        timeout: Optional[float] = None,
-        trace_id: Optional[int] = None,
-    ) -> Any:
-        """Invoke ``method`` on a replica node; raise on timeout.
-
-        ``timeout=None`` disables the deadline (only safe on a loss-free
-        transport against non-silent nodes).  Raises
-        :class:`~repro.exceptions.RpcTimeoutError` when the RPC is dropped,
-        the delay exceeds the deadline, or the node stays silent (crashed
-        and silent-Byzantine behaviours never answer); the error carries a
-        ``disposition`` attribute (``"dropped"``/``"timeout"``/``"silent"``)
-        for trace spans.  ``trace_id`` is accepted for interface parity with
-        the socket transport — in-process calls pass payloads by reference,
-        so there is no envelope to extend.
-        """
-        self.calls += 1
-        delay = self._delay()
-        dropped = (
-            self.drop_probability > 0.0 and self.rng.random() < self.drop_probability
-        )
-        if dropped:
-            # The caller never hears back: it waits out its whole deadline
-            # (or, with no deadline, learns of the loss after the delay).
-            # Counted as a drop only, so the report's drop/timeout columns
-            # partition the failures.
-            self.dropped += 1
-            await asyncio.sleep(delay if timeout is None else timeout)
-            error = RpcTimeoutError(
-                f"rpc {method!r} to server {node.server_id} was dropped"
-            )
-            error.disposition = "dropped"
-            raise error
-        if timeout is not None and delay > timeout:
-            self.timed_out += 1
-            await asyncio.sleep(timeout)
-            error = RpcTimeoutError(
-                f"rpc {method!r} to server {node.server_id} timed out"
-            )
-            error.disposition = "timeout"
-            raise error
-        await asyncio.sleep(delay)
-        reply = node.handle(method, *args)
-        if reply is NO_REPLY:
-            # A silent server: the caller waits out the rest of its deadline.
-            self.timed_out += 1
-            if timeout is not None and timeout > delay:
-                await asyncio.sleep(timeout - delay)
-            error = RpcTimeoutError(
-                f"rpc {method!r} to server {node.server_id} got no reply"
-            )
-            error.disposition = "silent"
-            raise error
-        return reply

@@ -1,7 +1,7 @@
 """The socket transport's wire format: length-prefixed, struct-packed frames.
 
 The TCP transport (:mod:`repro.service.net`) moves the *same* RPC payloads
-the in-process paths pass by reference — method names, register keys,
+the in-process dispatcher passes by reference — method names, register keys,
 arbitrary written values, :class:`~repro.protocol.timestamps.Timestamp`
 objects (honest and forged), signature bytes and
 :class:`~repro.simulation.server.StoredValue` replies — so the codec must be

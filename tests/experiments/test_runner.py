@@ -86,12 +86,6 @@ class TestRunExperiment:
         assert "Service load report" in reports[0]
         assert "safety verdict    OK" in reports[0]
         assert "clients=20" in reports[0]
-        assert "dispatch=batched" in reports[0]
-
-    def test_serve_runs_on_the_per_rpc_path_too(self):
-        reports = run_experiment("serve", clients=10, ops=2, seed=3, dispatch="per-rpc")
-        assert "dispatch=per-rpc" in reports[0]
-        assert "safety verdict    OK" in reports[0]
 
     def test_serve_validation_becomes_an_experiment_error(self):
         with pytest.raises(ExperimentError):
@@ -224,14 +218,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "writers=2" in out and "contention=1.0" in out
 
-    def test_main_serve_dispatch_and_selection_flags(self, capsys):
-        assert (
-            main(["serve", "--clients", "10", "--ops", "2", "--dispatch", "per-rpc"])
-            == 0
-        )
-        assert "dispatch=per-rpc" in capsys.readouterr().out
+    def test_main_serve_selection_flag(self, capsys):
+        # There is one dispatch path, so there is no flag to choose it.
         with pytest.raises(SystemExit):
-            main(["serve", "--dispatch", "warp"])
+            main(["serve", "--dispatch", "batched"])
         # Latency-aware swaps in the Byzantine-free scenario variant.
         with pytest.warns(UserWarning, match="access strategy"):
             code = main(

@@ -10,9 +10,10 @@ import pytest
 from repro.core.dissemination import ProbabilisticDisseminationSystem
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.masking import ProbabilisticMaskingSystem
-from repro.exceptions import ConfigurationError, QuorumUnavailableError
+from repro.exceptions import QuorumUnavailableError
 from repro.protocol.timestamps import Timestamp
 from repro.service.client import AsyncQuorumClient, ReadRpcResult
+from repro.service.dispatch import BatchedDispatcher
 from repro.service.node import ServiceNode
 from repro.service.register import (
     AsyncDisseminationRegister,
@@ -37,16 +38,15 @@ def deploy(system, seed=0, timeout=0.01, **transport_kwargs):
     nodes = [ServiceNode(server) for server in range(system.n)]
     transport = AsyncTransport(seed=seed, **transport_kwargs)
     client = AsyncQuorumClient(
-        system, nodes, transport, timeout=timeout, rng=random.Random(seed)
+        system,
+        BatchedDispatcher(nodes, transport),
+        deadline=timeout,
+        rng=random.Random(seed),
     )
     return nodes, client
 
 
 class TestAsyncQuorumClient:
-    def test_node_count_must_match_the_system(self):
-        with pytest.raises(ConfigurationError):
-            AsyncQuorumClient(PLAIN, [ServiceNode(0)], AsyncTransport())
-
     def test_write_then_read_round_trip(self):
         nodes, client = deploy(PLAIN)
 
@@ -105,9 +105,8 @@ class TestAsyncQuorumClient:
         nodes = [ServiceNode(server) for server in range(PLAIN.n)]
         client = AsyncQuorumClient(
             PLAIN,
-            nodes,
-            AsyncTransport(),
-            timeout=0.01,
+            BatchedDispatcher(nodes, AsyncTransport()),
+            deadline=0.01,
             rng=random.Random(1),
             repair=False,
         )

@@ -1,4 +1,4 @@
-"""Tests for the batched dispatch fast path and quorum-selection modes."""
+"""Tests for the in-process batched dispatcher and quorum-selection modes."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
 from repro.service.client import AsyncQuorumClient
-from repro.service.dispatch import DISPATCH_MODES, BatchedDispatcher
+from repro.service.dispatch import BatchedDispatcher
 from repro.service.load import ServiceLoadSpec, run_service_load
 from repro.service.node import ServiceNode
 from repro.service.transport import AsyncTransport
@@ -22,27 +22,23 @@ from repro.simulation.scenario import ScenarioSpec
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
 
-def deploy(system, seed=0, timeout=0.01, window=0.0, **transport_kwargs):
+def deploy(system, seed=0, timeout=0.01, **transport_kwargs):
     nodes = [ServiceNode(server) for server in range(system.n)]
     transport = AsyncTransport(**transport_kwargs)
-    dispatcher = BatchedDispatcher(nodes, transport, window=window)
+    dispatcher = BatchedDispatcher(nodes, transport)
     client = AsyncQuorumClient(
-        system,
-        nodes,
-        transport,
-        timeout=timeout,
-        rng=random.Random(seed),
-        dispatcher=dispatcher,
+        system, dispatcher, deadline=timeout, rng=random.Random(seed)
     )
     return nodes, transport, dispatcher, client
 
 
-class TestBatchedDispatcher:
-    def test_window_must_be_non_negative(self):
-        nodes = [ServiceNode(0)]
-        with pytest.raises(ConfigurationError):
-            BatchedDispatcher(nodes, AsyncTransport(), window=-0.1)
+def dispatcher_over(system):
+    """A fresh in-process dispatcher over ``system.n`` correct nodes."""
+    nodes = [ServiceNode(server) for server in range(system.n)]
+    return BatchedDispatcher(nodes, AsyncTransport())
 
+
+class TestBatchedDispatcher:
     def test_write_then_read_round_trip(self):
         nodes, transport, dispatcher, client = deploy(MASKING)
 
@@ -200,7 +196,6 @@ class TestLoadProfile:
             clients=100,
             reads_per_client=20,
             writes=1,
-            dispatch="batched",
             selection="strategy",
             seed=13,
         )
@@ -224,8 +219,7 @@ class TestLoadProfile:
             clients=100,
             reads_per_client=10,
             writes=2,
-            rpc_timeout=0.002,
-            dispatch="batched",
+            deadline=0.002,
             selection="latency-aware",
             seed=13,
         )
@@ -251,11 +245,9 @@ class TestLatencyAwareGuards:
             ServiceLoadSpec(scenario=scenario, selection="latency-aware")
 
     def test_client_warns_on_construction(self):
-        nodes = [ServiceNode(server) for server in range(25)]
-        transport = AsyncTransport()
         with pytest.warns(UserWarning, match="ε guarantee"):
             client = AsyncQuorumClient(
-                MASKING, nodes, transport, selection="latency-aware"
+                MASKING, dispatcher_over(MASKING), selection="latency-aware"
             )
         assert client.tracker is not None
 
@@ -265,19 +257,20 @@ class TestLatencyAwareGuards:
         # An explicit-strategy system has no fixed quorum_size, so the
         # latency-aware draw (which needs one) must be refused.
         explicit = EpsilonIntersectingSystem(4, [[0, 1], [1, 2], [2, 3]])
-        nodes = [ServiceNode(server) for server in range(4)]
         with pytest.raises(ConfigurationError, match="quorum_size"):
             AsyncQuorumClient(
-                explicit, nodes, AsyncTransport(), selection="latency-aware"
+                explicit, dispatcher_over(explicit), selection="latency-aware"
             )
 
     def test_unknown_modes_are_rejected(self):
-        nodes = [ServiceNode(server) for server in range(25)]
         with pytest.raises(ConfigurationError):
-            AsyncQuorumClient(MASKING, nodes, AsyncTransport(), selection="fastest")
+            AsyncQuorumClient(MASKING, dispatcher_over(MASKING), selection="fastest")
         with pytest.raises(ConfigurationError):
-            ServiceLoadSpec(scenario=ScenarioSpec(system=MASKING), dispatch="warp")
-        assert DISPATCH_MODES == ("batched", "per-rpc")
+            ServiceLoadSpec(scenario=ScenarioSpec(system=MASKING), selection="warp")
+
+    def test_a_client_needs_a_dispatcher(self):
+        with pytest.raises(ConfigurationError, match="dispatcher"):
+            AsyncQuorumClient(MASKING, None)
 
 
 def run_with_nodes(spec):

@@ -34,6 +34,7 @@ from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ReadOutcome
 from repro.service.client import AsyncQuorumClient, ReadRpcResult
+from repro.service.dispatch import BatchedDispatcher
 from repro.service.gossip import GossipService, NodeClusterView, scenario_verifier
 from repro.service.load import ServiceLoadReport, ServiceLoadSpec
 from repro.service.node import ServiceNode
@@ -202,9 +203,8 @@ class TestGossipService:
 def deploy_client(system, seed=0, **client_kwargs):
     nodes = [ServiceNode(server) for server in range(system.n)]
     client = AsyncQuorumClient(
-        nodes=nodes,
-        system=system,
-        transport=AsyncTransport(seed=seed),
+        system,
+        BatchedDispatcher(nodes, AsyncTransport(seed=seed)),
         deadline=0.01,
         rng=random.Random(seed),
         **client_kwargs,
@@ -296,16 +296,14 @@ class TestPiggybackRepairs:
         assert [entry[0] for entry in dispatcher.repairs] == [3, 4]
         assert dispatcher.repairs[0][1:] == ("x", "v", Timestamp(2), b"sig")
 
-    def test_no_dispatcher_or_budget_means_no_repairs(self):
-        _, client = deploy_client(PLAIN, repair_budget=2)
-        assert client.piggyback_repairs("x", "v", Timestamp(2), None, [3]) == 0
+    def test_no_budget_or_no_targets_means_no_repairs(self):
         _, budgetless = deploy_client(PLAIN, repair_budget=0)
         budgetless.dispatcher = RecordingDispatcher()
         assert budgetless.piggyback_repairs("x", "v", Timestamp(2), None, [3]) == 0
-        # A dispatcher with no piggyback path (the per-RPC oracle) is skipped.
-        _, plain_path = deploy_client(PLAIN, repair_budget=2)
-        plain_path.dispatcher = object()
-        assert plain_path.piggyback_repairs("x", "v", Timestamp(2), None, [3]) == 0
+        _, client = deploy_client(PLAIN, repair_budget=2)
+        client.dispatcher = RecordingDispatcher()
+        assert client.piggyback_repairs("x", "v", Timestamp(2), None, []) == 0
+        assert budgetless.dispatcher.repairs == client.dispatcher.repairs == []
         assert client.repairs_piggybacked == 0
 
     def test_negative_budget_is_refused(self):
@@ -346,7 +344,10 @@ class TestRegisterRepairTargets:
             0: StoredValue("v", Timestamp(5)),  # the winner
             1: StoredValue("old", Timestamp(1)),  # provably stale
             # 2 never replied with a value: plausible laggard
-            3: StoredValue("junk", object()),  # uncomparable forgery residue
+            # A forgery outranking the winner is no laggard.  (A reply with an
+            # uncomparable timestamp never gets this far: the client reads it
+            # as value-less.)
+            3: StoredValue("forged", Timestamp(9)),
         }
         result = self.read_result(replies, quorum)
         outcome = self.outcome(quorum, winners=[0])

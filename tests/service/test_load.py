@@ -48,11 +48,7 @@ class TestServiceLoadSpec:
         with pytest.raises(ConfigurationError):
             small_spec(write_interval=-1.0)
         with pytest.raises(ConfigurationError):
-            small_spec(dispatch="warp")
-        with pytest.raises(ConfigurationError):
             small_spec(selection="fastest")
-        with pytest.raises(ConfigurationError):
-            small_spec(dispatch_window=-0.001)
         with pytest.raises(ConfigurationError):
             small_spec(quorum_pool=-1)
         with pytest.raises(ConfigurationError):
@@ -161,7 +157,7 @@ class TestRunServiceLoad:
             clients=40,
             reads_per_client=5,
             latency=0.0005,
-            rpc_timeout=0.01,
+            deadline=0.01,
             fault_injection=FaultInjectionSpec(crash_count=4, interval=0.001),
         )
         report = run_service_load(spec)
@@ -173,7 +169,7 @@ class TestRunServiceLoad:
     def test_dropping_transport_still_makes_progress(self):
         spec = small_spec(
             drop_probability=0.05,
-            rpc_timeout=0.005,
+            deadline=0.005,
         )
         report = run_service_load(spec)
         assert report.rpc_dropped > 0
@@ -188,15 +184,12 @@ class TestRunServiceLoad:
         assert first.outcomes == second.outcomes
         assert first.reads_completed == second.reads_completed
 
-    def test_both_dispatch_modes_complete_the_same_workload(self):
-        batched = run_service_load(small_spec(dispatch="batched"))
-        per_rpc = run_service_load(small_spec(dispatch="per-rpc"))
-        for report in (batched, per_rpc):
-            assert report.reads_completed == 60
-            assert report.writes_completed == 5
-            assert report.violations == 0
+    def test_batched_dispatch_completes_the_workload(self):
+        batched = run_service_load(small_spec())
+        assert batched.reads_completed == 60
+        assert batched.writes_completed == 5
+        assert batched.violations == 0
         assert batched.dispatch_flushes > 0
-        assert per_rpc.dispatch_flushes == 0
         # Coalescing: far fewer delivery events than RPCs.
         assert batched.dispatch_flushes < batched.rpc_calls / 5
 

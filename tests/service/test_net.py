@@ -1,4 +1,4 @@
-"""Tests for the TCP socket transport and server (`repro.service.net`)."""
+"""Tests for the TCP socket transport, server and dispatcher (`repro.service.net`)."""
 
 from __future__ import annotations
 
@@ -9,16 +9,10 @@ import pytest
 
 from repro.core.dissemination import ProbabilisticDisseminationSystem
 from repro.core.masking import ProbabilisticMaskingSystem
-from repro.exceptions import RpcTimeoutError, ServiceError
+from repro.exceptions import ServiceError
 from repro.protocol.timestamps import Timestamp
 from repro.service.client import AsyncQuorumClient
-from repro.service.net import (
-    RemoteNode,
-    TcpDispatcher,
-    TcpServiceServer,
-    TcpTransport,
-    remote_nodes,
-)
+from repro.service.net import TcpDispatcher, TcpServiceServer, TcpTransport
 from repro.service.node import ServiceNode
 from repro.service.register import AsyncDisseminationRegister, AsyncMaskingRegister
 from repro.service.wire import encode_frame, encode_request_frame, request_tail
@@ -52,13 +46,13 @@ class TestTcpRoundTrip:
     def test_write_then_read_through_real_sockets(self):
         async def scenario():
             nodes, server, transport = await deploy()
-            stub = RemoteNode(3)
-            ok = await transport.call(
-                stub, "write", "x", ("v", 0), Timestamp(1), None, timeout=1.0
+            dispatcher = TcpDispatcher(transport)
+            acks = await dispatcher.fan_out(
+                [3], "write", ("x", ("v", 0), Timestamp(1), None), 1.0
             )
-            assert ok == ("ok", True)
-            tag, stored = await transport.call(stub, "read", "x", timeout=1.0)
-            assert tag == "ok"
+            assert acks == {3: True}
+            replies = await dispatcher.fan_out([3], "read", ("x",), 1.0)
+            stored = replies[3]
             assert stored.value == ("v", 0) and stored.timestamp == Timestamp(1)
             # The write really landed on the server-side node object.
             assert nodes[3].stored("x").value == ("v", 0)
@@ -70,29 +64,30 @@ class TestTcpRoundTrip:
     def test_server_routes_by_server_id(self):
         async def scenario():
             nodes, server, transport = await deploy(n=5)
+            dispatcher = TcpDispatcher(transport)
             for target in range(5):
-                await transport.call(
-                    RemoteNode(target), "write", "x", target, Timestamp(1), None,
-                    timeout=1.0,
+                await dispatcher.fan_out(
+                    [target], "write", ("x", target, Timestamp(1), None), 1.0
                 )
             assert [node.stored("x").value for node in nodes] == [0, 1, 2, 3, 4]
             await teardown(server, transport)
 
         run(scenario())
 
-    def test_concurrent_calls_multiplex_on_shared_connections(self):
+    def test_concurrent_fan_outs_multiplex_on_shared_connections(self):
         async def scenario():
             nodes, server, transport = await deploy(n=10)
             for node in nodes:
                 node.server.handle_write("x", node.server_id * 11, Timestamp(1), None)
+            dispatcher = TcpDispatcher(transport)
             replies = await asyncio.gather(
                 *(
-                    transport.call(RemoteNode(index % 10), "read", "x", timeout=1.0)
+                    dispatcher.fan_out([index % 10], "read", ("x",), 1.0)
                     for index in range(200)
                 )
             )
-            for index, (tag, stored) in enumerate(replies):
-                assert stored.value == (index % 10) * 11  # no cross-talk
+            for index, reply in enumerate(replies):
+                assert reply[index % 10].value == (index % 10) * 11  # no cross-talk
             assert transport.calls == 200
             await teardown(server, transport)
 
@@ -117,10 +112,10 @@ class TestFailureSemantics:
         async def scenario():
             nodes, server, transport = await deploy(n=3)
             nodes[1].crash()
+            dispatcher = TcpDispatcher(transport)
             loop = asyncio.get_running_loop()
             started = loop.time()
-            with pytest.raises(RpcTimeoutError):
-                await transport.call(RemoteNode(1), "ping", timeout=0.05)
+            assert await dispatcher.fan_out([1], "ping", (), 0.05) == {}
             waited = loop.time() - started
             assert waited == pytest.approx(0.05, abs=0.1)
             assert transport.timed_out == 1
@@ -131,9 +126,10 @@ class TestFailureSemantics:
     def test_simulated_drops_are_counted_and_never_sent(self):
         async def scenario():
             nodes, server, transport = await deploy(n=3, drop_probability=0.999999, seed=7)
-            with pytest.raises(RpcTimeoutError, match="dropped"):
-                await transport.call(RemoteNode(0), "ping", timeout=0.01)
+            dispatcher = TcpDispatcher(transport)
+            assert await dispatcher.fan_out([0], "ping", (), 0.01) == {}
             assert transport.dropped == 1
+            assert transport.timed_out == 0
             assert server.requests_handled == 0
             await teardown(server, transport)
 
@@ -142,11 +138,12 @@ class TestFailureSemantics:
     def test_reconnects_after_a_dropped_connection(self):
         async def scenario():
             nodes, server, transport = await deploy(n=3, connections=1)
-            assert await transport.call(RemoteNode(0), "ping", timeout=1.0) == ("ok", True)
+            dispatcher = TcpDispatcher(transport)
+            assert await dispatcher.fan_out([0], "ping", (), 1.0) == {0: True}
             # Sever the (only) connection out from under the transport.
             transport._connections[0]._writer.close()
             await asyncio.sleep(0.01)
-            assert await transport.call(RemoteNode(0), "ping", timeout=1.0) == ("ok", True)
+            assert await dispatcher.fan_out([0], "ping", (), 1.0) == {0: True}
             assert transport.reconnects == 1
             assert server.connections_accepted == 2
             await teardown(server, transport)
@@ -159,26 +156,26 @@ class TestFailureSemantics:
             await server.aclose()
             # A fresh transport to the now-closed port cannot even connect.
             dead = TcpTransport(server.address)
-            with pytest.raises(RpcTimeoutError):
-                await dead.call(RemoteNode(0), "ping", timeout=0.05)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            assert await TcpDispatcher(dead).fan_out([0], "ping", (), 0.05) == {}
+            assert loop.time() - started == pytest.approx(0.05, abs=0.1)
             assert dead.timed_out == 1
             await teardown(server, transport)
             await dead.aclose()
 
         run(scenario())
 
-    def test_injected_latency_counts_against_the_deadline(self):
-        # Parity with AsyncTransport: a drawn delay beyond the deadline IS
-        # the timeout — the caller never waits delay + timeout.
+    def test_injected_latency_beyond_the_deadline_is_a_timeout(self):
+        # A drawn delay beyond the deadline IS the timeout: the request is
+        # never sent and the operation resolves with no replies.
         async def scenario():
             nodes, server, transport = await deploy(n=3, latency=0.2)
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            with pytest.raises(RpcTimeoutError):
-                await transport.call(RemoteNode(0), "ping", timeout=0.05)
-            assert loop.time() - started < 0.19
+            replies = await TcpDispatcher(transport).fan_out([0], "ping", (), 0.05)
+            assert replies == {}
             assert transport.timed_out == 1
             assert server.requests_handled == 0
+            assert len(transport._pending) == 0
             await teardown(server, transport)
 
         run(scenario())
@@ -186,11 +183,11 @@ class TestFailureSemantics:
     def test_unknown_method_costs_the_peer_its_connection_only(self):
         async def scenario():
             nodes, server, transport = await deploy(n=3, connections=1)
-            with pytest.raises(RpcTimeoutError):
-                await transport.call(RemoteNode(0), "bogus-method", timeout=0.05)
+            dispatcher = TcpDispatcher(transport)
+            assert await dispatcher.fan_out([0], "bogus-method", (), 0.05) == {}
             # The server survives and the transport reconnects transparently.
             assert server.serving
-            assert await transport.call(RemoteNode(0), "ping", timeout=1.0) == ("ok", True)
+            assert await dispatcher.fan_out([0], "ping", (), 1.0) == {0: True}
             await teardown(server, transport)
 
         run(scenario())
@@ -198,8 +195,7 @@ class TestFailureSemantics:
     def test_negative_server_id_is_rejected_not_wrapped_around(self):
         async def scenario():
             nodes, server, transport = await deploy(n=3, connections=1)
-            with pytest.raises(RpcTimeoutError):
-                await transport.call(RemoteNode(-1), "ping", timeout=0.05)
+            assert await TcpDispatcher(transport).fan_out([-1], "ping", (), 0.05) == {}
             # Nothing was routed to nodes[-1]; the server just dropped the peer.
             assert server.requests_handled == 0
             assert server.serving
@@ -231,7 +227,9 @@ class TestFailureSemantics:
             assert await exchange(*legacy, len(body).to_bytes(4, "big") + body) == b""
             assert await exchange(*good, ping)  # still served
             # A fresh transport connects and is served alongside.
-            assert await transport.call(RemoteNode(2), "ping", timeout=1.0) == ("ok", True)
+            assert await TcpDispatcher(transport).fan_out([2], "ping", (), 1.0) == {
+                2: True
+            }
             assert server.requests_handled == 3
             for _, writer in (good, legacy):
                 writer.close()
@@ -260,7 +258,7 @@ class TestFailureSemantics:
 
 
 class TestTcpDispatcher:
-    def test_fan_out_matches_per_rpc_replies(self):
+    def test_fan_out_matches_node_handle_replies(self):
         async def scenario():
             nodes, server, transport = await deploy(n=10)
             for node in nodes:
@@ -268,7 +266,12 @@ class TestTcpDispatcher:
             dispatcher = TcpDispatcher(transport)
             replies = await dispatcher.fan_out(range(10), "read", ("x",), 1.0)
             assert sorted(replies) == list(range(10))
-            assert all(replies[s].value == s for s in replies)
+            # Each payload is what the node's own handler answers, with the
+            # ("ok", payload) envelope stripped.
+            for server_id, payload in replies.items():
+                tag, expected = nodes[server_id].handle("read", "x")
+                assert tag == "ok"
+                assert payload == expected and payload.value == server_id
             assert dispatcher.ops == 1
             await teardown(server, transport)
 
@@ -307,12 +310,7 @@ class TestQuorumClientOverTcp:
         async def scenario():
             nodes, server, transport = await deploy()
             client = AsyncQuorumClient(
-                MASKING,
-                remote_nodes(25),
-                transport,
-                timeout=1.0,
-                rng=random.Random(3),
-                dispatcher=TcpDispatcher(transport),
+                MASKING, TcpDispatcher(transport), deadline=1.0, rng=random.Random(3)
             )
             register = AsyncMaskingRegister(client)
             write = await register.write("over-the-wire")
@@ -334,12 +332,7 @@ class TestQuorumClientOverTcp:
                     ByzantineForgeBehavior("FORGED", Timestamp.forged_maximum())
                 )
             client = AsyncQuorumClient(
-                system,
-                remote_nodes(25),
-                transport,
-                timeout=1.0,
-                rng=random.Random(5),
-                dispatcher=TcpDispatcher(transport),
+                system, TcpDispatcher(transport), deadline=1.0, rng=random.Random(5)
             )
             register = AsyncMaskingRegister(client)
             await register.write("honest")
@@ -354,11 +347,7 @@ class TestQuorumClientOverTcp:
         async def scenario():
             nodes, server, transport = await deploy()
             client = AsyncQuorumClient(
-                MASKING,
-                remote_nodes(25),
-                transport,
-                timeout=0.05,
-                rng=random.Random(11),
+                MASKING, TcpDispatcher(transport), deadline=0.05, rng=random.Random(11)
             )
             register = AsyncMaskingRegister(client)
             await register.write("durable")
@@ -390,12 +379,7 @@ class TestNonBytesSignatures:
             for victim in range(5):
                 nodes[victim].set_behavior(_StrSignatureBehavior())
             client = AsyncQuorumClient(
-                system,
-                remote_nodes(25),
-                transport,
-                deadline=1.0,
-                rng=random.Random(9),
-                dispatcher=TcpDispatcher(transport),
+                system, TcpDispatcher(transport), deadline=1.0, rng=random.Random(9)
             )
             register = AsyncDisseminationRegister(client)
             await register.write("signed")
@@ -404,5 +388,119 @@ class TestNonBytesSignatures:
                 assert register.classify_read(outcome) in ("fresh", "stale", "empty")
             assert register.forged_replies_rejected > 0
             await teardown(server, transport)
+
+        run(scenario())
+
+
+class _JunkReadBehavior(CorrectBehavior):
+    """Stores writes honestly but answers every read with ``payload``."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def on_read(self, server, variable):
+        return self.payload
+
+
+#: Read payloads a Byzantine replica can put on the wire that are not a
+#: well-formed record: the binary codec carries every one of them.
+JUNK_READ_PAYLOADS = [
+    42,
+    "x",
+    (1, 2, 3),
+    StoredValue("FORGED", "zzz"),
+    StoredValue("FORGED", 7),
+    StoredValue("FORGED", [1, 2]),
+]
+
+
+class TestJunkReadReplies:
+    """A replica answering reads with junk makes the read value-less there."""
+
+    @pytest.mark.parametrize("payload", JUNK_READ_PAYLOADS, ids=repr)
+    @pytest.mark.parametrize(
+        "system, register_class",
+        [
+            (ProbabilisticMaskingSystem(25, 10, 3), AsyncMaskingRegister),
+            (ProbabilisticDisseminationSystem(25, 8, 5), AsyncDisseminationRegister),
+        ],
+        ids=["masking", "dissemination"],
+    )
+    def test_reads_complete_and_accept_nothing_fabricated(
+        self, system, register_class, payload
+    ):
+        async def scenario():
+            nodes, server, transport = await deploy()
+            for victim in (0, 1, 2):
+                nodes[victim].set_behavior(_JunkReadBehavior(payload))
+            client = AsyncQuorumClient(
+                system, TcpDispatcher(transport), deadline=1.0, rng=random.Random(4)
+            )
+            register = register_class(client)
+            await register.write("honest")
+            junk_seen = 0
+            for _ in range(30):
+                result = await client.read("x")
+                junk_seen += len(result.quorum & {0, 1, 2})
+                # Junk repliers still count as responders, never as values.
+                assert all(server_id not in result.replies for server_id in (0, 1, 2))
+                outcome = await register.read()
+                assert outcome.value in ("honest", None)
+                assert register.classify_read(outcome) in ("fresh", "stale", "empty")
+            assert junk_seen > 0
+            await teardown(server, transport)
+
+        run(scenario())
+
+
+class TestRoguePeer:
+    """Requests no honest client sends cost the sender its connection only."""
+
+    ROGUE_REQUESTS = {
+        "junk-timestamp-write": ("write", ("x", "junk", "zzz", None)),
+        "none-timestamp-write": ("write", ("x", "junk", None, None)),
+        "str-signature-write": ("write", ("x", "junk", Timestamp(9), "sig")),
+        "non-str-variable-write": ("write", (7, "junk", Timestamp(9), None)),
+        "junk-timestamp-repair": ("repair", ("x", "junk", [1, 2], None)),
+        "wrong-arity-read": ("read", ()),
+        "wrong-arity-write": ("write", ("x", "junk")),
+        "non-str-variable-read": ("read", (("x",),)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROGUE_REQUESTS))
+    def test_rogue_requests_never_reach_a_replica(self, name):
+        method, args = self.ROGUE_REQUESTS[name]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            nodes, server, transport = await deploy()
+            reader, writer = await asyncio.open_connection(*server.address)
+            # One rogue request per replica, all in one burst.
+            tail = request_tail(method, args)
+            writer.write(
+                b"".join(
+                    encode_request_frame(request_id, request_id, tail)
+                    for request_id in range(25)
+                )
+            )
+            await writer.drain()
+            # The server answers nothing and closes the rogue connection.
+            assert await asyncio.wait_for(reader.read(65536), 1.0) == b""
+            writer.close()
+            assert server.requests_handled == 0
+            assert all(node.stored("x") is None for node in nodes)
+            # Honest traffic is untouched: every write reaches a full quorum.
+            client = AsyncQuorumClient(
+                MASKING, TcpDispatcher(transport), deadline=1.0, rng=random.Random(6)
+            )
+            register = AsyncMaskingRegister(client)
+            for index in range(5):
+                write = await register.write(f"honest-{index}")
+                assert len(write.acknowledged) >= MASKING.quorum_size
+            assert server.serving
+            await teardown(server, transport)
+            assert unhandled == []
 
         run(scenario())

@@ -1,4 +1,4 @@
-"""Tests for the async transport and the replica nodes."""
+"""Tests for the transport conditions and the replica nodes."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import asyncio
 
 import pytest
 
-from repro.exceptions import ConfigurationError, RpcTimeoutError, ServiceError
+from repro.exceptions import ConfigurationError, ServiceError
 from repro.protocol.timestamps import Timestamp
+from repro.service.dispatch import BatchedDispatcher
 from repro.service.node import NO_REPLY, ServiceNode
 from repro.service.transport import AsyncTransport
 from repro.simulation.server import (
@@ -21,62 +22,20 @@ def run(coroutine):
 
 
 class TestAsyncTransport:
-    def test_healthy_round_trip(self):
+    def test_healthy_round_trip_through_the_dispatcher(self):
         node = ServiceNode(0)
         transport = AsyncTransport()
+        dispatcher = BatchedDispatcher([node], transport)
 
         async def scenario():
-            ok = await transport.call(node, "write", "x", "v", Timestamp(1), None)
-            assert ok == ("ok", True)
-            tag, stored = await transport.call(node, "read", "x")
-            assert stored.value == "v"
+            acks = await dispatcher.fan_out([0], "write", ("x", "v", Timestamp(1), None), None)
+            assert acks == {0: True}
+            replies = await dispatcher.fan_out([0], "read", ("x",), None)
+            assert replies[0].value == "v"
 
         run(scenario())
         assert transport.calls == 2
         assert transport.dropped == transport.timed_out == 0
-
-    def test_dropped_rpcs_cost_exactly_the_timeout(self):
-        node = ServiceNode(0)
-        transport = AsyncTransport(drop_probability=0.999999, seed=3)
-
-        async def scenario():
-            loop = asyncio.get_event_loop()
-            started = loop.time()
-            with pytest.raises(RpcTimeoutError):
-                await transport.call(node, "ping", timeout=0.01)
-            return loop.time() - started
-
-        waited = run(scenario())
-        assert waited == pytest.approx(0.01, abs=0.05)
-        # Drops and deadline misses partition the failure counts.
-        assert transport.dropped == 1
-        assert transport.timed_out == 0
-
-    def test_latency_beyond_deadline_times_out(self):
-        node = ServiceNode(0)
-        transport = AsyncTransport(latency=0.05)
-
-        async def scenario():
-            with pytest.raises(RpcTimeoutError):
-                await transport.call(node, "ping", timeout=0.001)
-            # Without a deadline the same call succeeds.
-            assert await transport.call(node, "ping") == ("ok", True)
-
-        run(scenario())
-        assert transport.timed_out == 1
-
-    def test_silent_node_times_out(self):
-        node = ServiceNode(0)
-        node.crash()
-        transport = AsyncTransport()
-
-        async def scenario():
-            with pytest.raises(RpcTimeoutError):
-                await transport.call(node, "ping", timeout=0.001)
-
-        run(scenario())
-        assert transport.timed_out == 1
-        assert transport.dropped == 0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -90,7 +49,7 @@ class TestAsyncTransport:
         delays = []
         for _ in range(2):
             transport = AsyncTransport(latency=0.01, jitter=0.005, seed=11)
-            delays.append([transport._delay() for _ in range(20)])
+            delays.append([transport.draw_delay() for _ in range(20)])
         assert delays[0] == delays[1]
         assert len(set(delays[0])) > 1
 

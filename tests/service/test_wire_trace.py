@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.trace import Tracer
+from repro.protocol.timestamps import Timestamp
 from repro.service.net import TcpDispatcher, TcpServiceServer, TcpTransport
 from repro.service.node import ServiceNode
 from repro.service.wire import (
@@ -96,7 +97,7 @@ class TestDegradation:
             tracer = Tracer(sample_rate=1.0)
             trace = tracer.begin("write", variable="x")
             replies = await dispatcher.fan_out(
-                [0, 1, 2], "write", ("x", "v", None, None), 0.5, trace=trace
+                [0, 1, 2], "write", ("x", "v", Timestamp(1), None), 0.5, trace=trace
             )
             assert set(replies) == {0, 1, 2}
             assert server.traced_requests == 3
@@ -114,7 +115,7 @@ class TestDegradation:
             await server.start()
             transport = TcpTransport(server.address)
             dispatcher = TcpDispatcher(transport)
-            await dispatcher.fan_out([0, 1], "write", ("x", "v", None, None), 0.5)
+            await dispatcher.fan_out([0, 1], "write", ("x", "v", Timestamp(1), None), 0.5)
             assert server.requests_handled == 2
             assert server.traced_requests == 0
             await transport.aclose()

@@ -40,7 +40,6 @@ class TestBuilder:
         assert builder.shards(2) is builder
         assert builder.deadline(0.1) is builder
         assert builder.seed(7) is builder
-        assert builder.dispatch("per-rpc") is builder
         assert builder.selection("latency-aware") is builder
         assert builder.conditions(latency=0.001) is builder
         assert builder.quorum_pool(16) is builder
@@ -69,8 +68,6 @@ class TestBuilder:
             builder.shards(0)
         with pytest.raises(ConfigurationError):
             builder.deadline(-1.0)
-        with pytest.raises(ConfigurationError):
-            builder.dispatch("sometimes")
         with pytest.raises(ConfigurationError):
             builder.selection("psychic")
         with pytest.raises(ConfigurationError):
@@ -163,7 +160,7 @@ class TestLockClients:
                 mutex = deployment.lock_client("leader", client_id=0)
                 expected = deployment.sharded.shard_for(lock_variable("leader"))
                 shard = deployment.sharded.shards[expected]
-                assert mutex.register.client.nodes[0] is shard.client_nodes[0]
+                assert mutex.register.client.dispatcher is shard.dispatcher
 
         run(scenario())
 
